@@ -20,20 +20,16 @@ from .numeric import (
     parse_rational,
     rational_str,
     sym_compare,
-    sym_eval,
-    u_enclosure,
 )
 from .ifs import (
     ALPHABET,
     Ball,
     BallCount,
-    CylinderInterval,
     DEFAULT_ENUMERATION_CAP,
     IFSSystem,
     S_DIM,
     apply_map,
     count_in_ball,
-    cylinder,
     distinct_level_points,
     project,
     similarity_dimension,

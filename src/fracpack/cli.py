@@ -24,7 +24,7 @@ from typing import Optional
 
 from .codespace import influence_count
 from .config import RunConfig, resolve_config
-from .ifs import Ball, IFSSystem, count_in_ball, distinct_level_points, project, similarity_dimension
+from .ifs import Ball, IFSSystem, count_in_ball, project, similarity_dimension
 from .measure import (
     SymbolicInterval,
     box_counting_profile,

@@ -65,10 +65,6 @@ class CodeSequence:
             self._word.append(_draw_symbol(self._rng))
         return self.word
 
-    def prefix(self, length: int) -> str:
-        self.extend_to(length)
-        return self.word[:length]
-
 
 def sample_sequence(seed, length: int) -> CodeSequence:
     """Fresh uniform code sequence of the given materialized length."""
@@ -103,16 +99,22 @@ def is_influenced(word: str, i: int, j: int,
     w = validate_word(word)
     if not (1 <= i <= j <= len(w)):
         raise ValueError(f"need 1 <= i <= j <= len(word), got i={i}, j={j}, len={len(w)}")
-    d = j - i
-    k = lam.window_index(d)
-    if k is None:
+    return _influence_record(w, i, j, lam)
+
+
+def _influence_record(w: str, i: int, j: int,
+                      lam: LacunarySequence) -> Optional[InfluenceRecord]:
+    """is_influenced for a validated word and in-range positions."""
+    k = lam.window_index(j - i)
+    if k is None or not _shows_pattern(w, i, k, lam):
         return None
-    if w[i - 1] != "u":
-        return None
-    for m in range(1, k + 1):
-        if w[i - 1 + lam.term(m)] != "0":
-            return None
     return InfluenceRecord(i, k)
+
+
+def _shows_pattern(w: str, i: int, k: int, lam: LacunarySequence) -> bool:
+    """u at position i and 0 at i + lam_1, ..., i + lam_k of a validated word."""
+    return w[i - 1] == "u" and all(w[i - 1 + lam.term(m)] == "0"
+                                   for m in range(1, k + 1))
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ def influence_count(word: str, j: int, lam: LacunarySequence) -> InfluenceSummar
         raise ValueError(f"need 1 <= j <= len(word), got j={j}, len={len(w)}")
     records = []
     for i in range(1, j + 1):
-        rec = is_influenced(w, i, j, lam)
+        rec = _influence_record(w, i, j, lam)
         if rec is not None:
             records.append(rec)
     return InfluenceSummary(len(records), tuple(records))
@@ -207,13 +209,7 @@ def block_success_count(word: str, dec: BlockDecomposition,
     w = validate_word(word)
     if len(w) < dec.j - 1:
         raise ValueError(f"word length {len(w)} < j - 1 = {dec.j - 1}")
-    hits = 0
-    for i in dec.leaders:
-        if w[i - 1] != "u":
-            continue
-        if all(w[i - 1 + lam.term(m)] == "0" for m in range(1, dec.k + 1)):
-            hits += 1
-    return hits
+    return sum(1 for i in dec.leaders if _shows_pattern(w, i, dec.k, lam))
 
 
 def perturb(word: str, rec: InfluenceRecord, lam: LacunarySequence) -> str:
@@ -223,19 +219,17 @@ def perturb(word: str, rec: InfluenceRecord, lam: LacunarySequence) -> str:
     which equals the tail sum_{m>k} 4**(-i-lam_m) and in particular is
     nonnegative and at most (4/3) * 4**(-i-lam_{k+1}).
     """
-    w = list(validate_word(word))
+    w = validate_word(word)
     probes = rec.probes(lam)
     if probes[-1] > len(w) or rec.i < 1:
         raise ValueError(f"record {rec} out of range for word of length {len(w)}")
-    if w[rec.i - 1] != "u":
-        raise ValueError(f"record {rec} invalid: position {rec.i} is not u")
+    if not _shows_pattern(w, rec.i, rec.k, lam):
+        raise ValueError(f"record {rec} invalid: no u, 0, ..., 0 pattern at {probes}")
+    out = list(w)
+    out[rec.i - 1] = "0"
     for pos in probes[1:]:
-        if w[pos - 1] != "0":
-            raise ValueError(f"record {rec} invalid: position {pos} is not 0")
-    w[rec.i - 1] = "0"
-    for pos in probes[1:]:
-        w[pos - 1] = "1"
-    return "".join(w)
+        out[pos - 1] = "1"
+    return "".join(out)
 
 
 def perturbation_family(word: str, j: int, lam: LacunarySequence) -> list[str]:

@@ -10,6 +10,7 @@ full enumeration.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,6 @@ from .numeric import (
 )
 
 ALPHABET = "01u"
-CONTRACTION = Fraction(1, 4)
 DEFAULT_ENUMERATION_CAP = 15
 
 # log 3 / log 4, the similarity dimension of three ratio-1/4 maps.
@@ -46,10 +46,6 @@ class IFSSystem:
 
     lam: LacunarySequence
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-
-    @property
-    def ratio(self) -> Fraction:
-        return CONTRACTION
 
 
 def similarity_dimension(ratios) -> float:
@@ -117,24 +113,6 @@ def project(word: str) -> SymbolicPoint:
 
 
 @dataclass(frozen=True)
-class CylinderInterval:
-    """Image of [0, 1] under the composition along a word."""
-
-    prefix: str
-    left: SymbolicPoint
-    length: Fraction
-
-    @property
-    def right(self) -> SymbolicPoint:
-        return SymbolicPoint(self.left.p + self.length, self.left.q)
-
-
-def cylinder(word: str) -> CylinderInterval:
-    w = validate_word(word)
-    return CylinderInterval(w, project(w), Fraction(1, 4 ** len(w)))
-
-
-@dataclass(frozen=True)
 class Ball:
     """Closed ball B(center, radius) on the line, radius >= 0."""
 
@@ -159,16 +137,67 @@ class BallCount:
     witnesses: Optional[tuple[str, ...]] = None
 
 
+def _prefix_walk(n: int, lo: tuple[int, int], hi: tuple[int, int], den: int,
+                 hulls: list[tuple[int, int]], lam: LacunarySequence):
+    """Classify the level-n prefix tree against the interval [lo, hi].
+
+    Points are scaled by 4**n: the endpoints are (P + Q*u) / den for the
+    pairs lo and hi, and a node (m, P, Q), a length-m prefix with partial
+    sums P and Q, spans [P + Q*u, P + dP + (Q + dQ)*u] with (dP, dQ) =
+    hulls[m].  A node whose span provably misses the interval is pruned,
+    one whose span lies inside it is yielded as (m, P, Q, True) without
+    descending, and a leaf crossing an endpoint is yielded as
+    (m, P, Q, False); other nodes split into their 0, 1 and u children.
+    Nodes come out in depth-first 0, 1, u order, from an explicit stack,
+    so the depth is not limited by the interpreter's recursion limit.
+    """
+    LP, LQ = lo
+    HP, HQ = hi
+    stack = [(0, 0, 0)]
+    while stack:
+        m, P, Q = stack.pop()
+        dP, dQ = hulls[m]
+        a, b = P * den, Q * den
+        c, d = a + dP * den, b + dQ * den
+        # Span minimum above hi, or maximum below lo: prune.
+        if affine_sign_scaled(a - HP, b - HQ, lam) > 0:
+            continue
+        if affine_sign_scaled(c - LP, d - LQ, lam) < 0:
+            continue
+        # A point span that is not missed is inside; skip the two tests.
+        if ((dP == 0 and dQ == 0)
+                or (affine_sign_scaled(a - LP, b - LQ, lam) >= 0
+                    and affine_sign_scaled(c - HP, d - HQ, lam) <= 0)):
+            yield m, P, Q, True
+        elif m == n:
+            yield m, P, Q, False
+        else:
+            step = 4 ** (n - m - 1)
+            stack.append((m + 1, P, Q + step))
+            stack.append((m + 1, P + step, Q))
+            stack.append((m + 1, P, Q))
+
+
+def _prefix_word(n: int, m: int, P: int, Q: int) -> str:
+    """The length-m prefix whose partial sums, scaled by 4**n, are P and Q."""
+    out = []
+    for k in range(1, m + 1):
+        shift = 2 * (n - k)
+        out.append("1" if (P >> shift) & 3 else "u" if (Q >> shift) & 3 else "0")
+    return "".join(out)
+
+
 def count_in_ball(sys: IFSSystem, n: int, ball: Ball,
                   witnesses: bool = False) -> BallCount:
     """Exact number of length-n words whose projection lies in the ball.
 
-    Depth-first search over the prefix tree.  A node at depth m carries
-    the partial sums (P, Q) scaled by 4**n; every completion adds between
-    0 and g = (4**(n-m) - 1)/3 to each coordinate, so the subtree value
-    range is [v, v + g*(1 + u)] and a subtree is pruned exactly when that
-    range provably misses the ball.  Leaf membership is decided exactly,
-    hence the count matches unpruned enumeration.
+    Runs the shared prefix-tree walk with the ball as target.  Every
+    completion of a depth-m node adds between 0 and g = (4**(n-m) - 1)/3
+    to each scaled coordinate, so its span is [v, v + g*(1 + u)]; a leaf
+    span is a single point and is either missed or inside.  Each inside
+    node contributes all 3**(n-m) of its words, so the count matches
+    unpruned enumeration.  With witnesses, those words are listed in
+    lexicographic 0, 1, u order.
 
     The running time is proportional to the number of surviving nodes,
     not 3**n, so moderate balls are fine well past the enumeration cap.
@@ -177,52 +206,22 @@ def count_in_ball(sys: IFSSystem, n: int, ball: Ball,
     """
     if n < 0:
         raise ValueError("depth must be >= 0")
-    lam = sys.lam
     scale = 4 ** n
     c_lo = (ball.center.p - ball.radius) * scale
     c_hi = (ball.center.p + ball.radius) * scale
     c_q = ball.center.q * scale
     den = math.lcm(c_lo.denominator, c_hi.denominator, c_q.denominator)
-    CL = int(c_lo * den)
-    CH = int(c_hi * den)
     CQ = int(c_q * den)
-
-    found: list[str] = []
-    stack: list[str] = []
+    hulls = [((4 ** (n - m) - 1) // 3,) * 2 for m in range(n + 1)]
     count = 0
-
-    def dfs(m: int, P: int, Q: int) -> None:
-        nonlocal count
-        A_lo = P * den - CL
-        A_hi = P * den - CH
-        B = Q * den - CQ
-        if m == n:
-            if affine_sign_scaled(A_lo, B, lam) >= 0 and affine_sign_scaled(A_hi, B, lam) <= 0:
-                count += 1
-                if witnesses:
-                    found.append("".join(stack))
-            return
-        g = (4 ** (n - m) - 1) // 3
-        # Subtree minimum above the ball, or maximum below it: prune.
-        if affine_sign_scaled(A_hi, B, lam) > 0:
-            return
-        if affine_sign_scaled((P + g) * den - CL, (Q + g) * den - CQ, lam) < 0:
-            return
-        if not witnesses:
-            # Entire subtree inside: count without descending.
-            if (affine_sign_scaled(A_lo, B, lam) >= 0
-                    and affine_sign_scaled((P + g) * den - CH, (Q + g) * den - CQ, lam) <= 0):
-                count += 3 ** (n - m)
-                return
-        c = 4 ** (n - m - 1)
-        for sym, dP, dQ in (("0", 0, 0), ("1", c, 0), ("u", 0, c)):
-            if witnesses:
-                stack.append(sym)
-            dfs(m + 1, P + dP, Q + dQ)
-            if witnesses:
-                stack.pop()
-
-    dfs(0, 0, 0)
+    found: list[str] = []
+    for m, P, Q, _ in _prefix_walk(n, (int(c_lo * den), CQ), (int(c_hi * den), CQ),
+                                   den, hulls, sys.lam):
+        count += 3 ** (n - m)
+        if witnesses:
+            head = _prefix_word(n, m, P, Q)
+            found.extend(head + "".join(tail)
+                         for tail in itertools.product(ALPHABET, repeat=n - m))
     return BallCount(count, tuple(found) if witnesses else None)
 
 

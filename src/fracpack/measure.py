@@ -33,6 +33,7 @@ from .ifs import (
     S_DIM,
     _decode,
     _level_codes,
+    _prefix_walk,
     count_in_ball,
     project,
     validate_word,
@@ -75,9 +76,10 @@ class MeasureBounds:
 def measure_bounds(sys: IFSSystem, J: SymbolicInterval, n: int) -> MeasureBounds:
     """Count level-n cylinders inside and meeting the closed interval J.
 
-    Exact recursion on the prefix tree: a node's cylinder either misses J
-    (prune), sits inside J (all 3**(n-m) descendants counted both ways),
-    or straddles a boundary and is split further.  Lower bounds are
+    Runs the shared prefix-tree walk with J as target: the cylinder of a
+    depth-m node spans [v, v + 4**(n-m)] in scaled units.  A cylinder
+    inside J counts all 3**(n-m) descendants both ways, and a leaf that
+    crosses an endpoint counts only as meeting J.  Lower bounds are
     nondecreasing in n because each contained cylinder splits into three
     contained children.
     """
@@ -95,36 +97,17 @@ def measure_bounds(sys: IFSSystem, J: SymbolicInterval, n: int) -> MeasureBounds
     b_q = J.hi.q * scale
     den = math.lcm(a_p.denominator, a_q.denominator,
                    b_p.denominator, b_q.denominator)
-    AP, AQ = int(a_p * den), int(a_q * den)
-    BP, BQ = int(b_p * den), int(b_q * den)
-
+    lo = (int(a_p * den), int(a_q * den))
+    hi = (int(b_p * den), int(b_q * den))
+    hulls = [(4 ** (n - m), 0) for m in range(n + 1)]
     contained = 0
     intersecting = 0
-
-    def walk(m: int, P: int, Q: int) -> None:
-        nonlocal contained, intersecting
-        width = 4 ** (n - m) * den
-        left_p = P * den
-        right_p = left_p + width
-        # Cylinder [left, left + 4**(-m)] against [a, b], all exact.
-        if (affine_sign_scaled(left_p - BP, Q * den - BQ, lam) > 0
-                or affine_sign_scaled(right_p - AP, Q * den - AQ, lam) < 0):
-            return
-        if (affine_sign_scaled(left_p - AP, Q * den - AQ, lam) >= 0
-                and affine_sign_scaled(right_p - BP, Q * den - BQ, lam) <= 0):
-            full = 3 ** (n - m)
-            contained += full
-            intersecting += full
-            return
-        if m == n:
+    for m, _, _, inside in _prefix_walk(n, lo, hi, den, hulls, lam):
+        if inside:
+            contained += 3 ** (n - m)
+            intersecting += 3 ** (n - m)
+        else:
             intersecting += 1
-            return
-        c = 4 ** (n - m - 1)
-        walk(m + 1, P, Q)
-        walk(m + 1, P + c, Q)
-        walk(m + 1, P, Q + c)
-
-    walk(0, 0, 0)
     return MeasureBounds(
         n=n,
         contained=contained,

@@ -17,7 +17,6 @@ soundness.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -72,8 +71,7 @@ class LacunarySequence:
       geometric  lam_j = start * b**(j-1) for b >= 3 (b = 2 violates the gate)
       explicit   a finite validated list; u is then rational
 
-    Terms are 1-indexed arbitrary-size integers.  Term access is memoized
-    and synchronized, so a shared instance is safe across threads.
+    Terms are 1-indexed arbitrary-size integers.  Term access is memoized.
     """
 
     def __init__(self, kind: str, *, b: int = 0, start: int = 0,
@@ -84,7 +82,6 @@ class LacunarySequence:
         self.start = start
         self.materialize_cap = materialize_cap
         self._terms: list[int] = list(terms)
-        self._lock = threading.Lock()
         self._enclosures: dict[int, tuple["IntervalEnclosure", bool, bool]] = {}
         self._u_ratio: Optional[tuple[int, int]] = None
         self._coarse: Optional[tuple[int, int, int]] = None
@@ -143,13 +140,12 @@ class LacunarySequence:
             raise IndexError("terms are 1-indexed")
         if self.kind == "explicit":
             return self._terms[k - 1] if k <= len(self._terms) else None
-        with self._lock:
-            while len(self._terms) < k:
-                j = len(self._terms) + 1
-                if self.kind == "paper":
-                    self._terms.append(_PAPER_BASE ** (_PAPER_BASE ** j))
-                else:
-                    self._terms.append(self.start * self.b ** (j - 1))
+        while len(self._terms) < k:
+            j = len(self._terms) + 1
+            if self.kind == "paper":
+                self._terms.append(_PAPER_BASE ** (_PAPER_BASE ** j))
+            else:
+                self._terms.append(self.start * self.b ** (j - 1))
         return self._terms[k - 1]
 
     @property
@@ -265,18 +261,17 @@ class IntervalEnclosure:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "IntervalEnclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
 
 def _u_enclosure_info(lam: LacunarySequence, J: int) -> tuple[IntervalEnclosure, bool, bool]:
     """(enclosure, exact, capped) for u truncated after J terms.
 
-    exact means lo == hi == u.  capped means the cap limited the depth or
-    the tail exponent, so no further refinement is possible.
+    The true u satisfies lo <= u <= hi with lo = sum_{j<=J} 4**(-lam_j)
+    and hi = lo + (4/3) * 4**(-lam_{J+1}); membership is strict on both
+    sides for infinite kinds.  Tail exponents above the materialization
+    cap are clamped, which only widens the interval.  exact means
+    lo == hi == u (explicit kinds with J >= length).  capped means the
+    cap limited the depth or the tail exponent, so no further refinement
+    is possible.
     """
     if J < 0:
         raise ValueError("truncation depth must be >= 0")
@@ -306,18 +301,6 @@ def _u_enclosure_info(lam: LacunarySequence, J: int) -> tuple[IntervalEnclosure,
         result = (IntervalEnclosure(lo, hi), False, capped)
     lam._enclosures[J] = result
     return result
-
-
-def u_enclosure(lam: LacunarySequence, J: int) -> IntervalEnclosure:
-    """Rational enclosure of u from the first J terms.
-
-    The true u satisfies lo <= u <= hi with lo = sum_{j<=J} 4**(-lam_j)
-    and hi = lo + (4/3) * 4**(-lam_{J+1}); membership is strict on both
-    sides for infinite kinds.  For explicit kinds with J >= length the
-    enclosure degenerates to the exact point.  Tail exponents above the
-    materialization cap are clamped, which only widens the interval.
-    """
-    return _u_enclosure_info(lam, J)[0]
 
 
 @dataclass(frozen=True)
@@ -408,29 +391,3 @@ def sym_compare(a: SymbolicPoint, b: SymbolicPoint, lam: LacunarySequence) -> in
         return 0
     return affine_sign(a.p - b.p, a.q - b.q, lam)
 
-
-def sym_eval(x: SymbolicPoint, lam: LacunarySequence, width: Fraction) -> IntervalEnclosure:
-    """Rational enclosure of the value of x with width at most the request.
-
-    The truncation depth J grows until q * (4/3) * 4**(-lam_{J+1}) fits
-    inside the width budget; exact values yield degenerate intervals.
-    Raises EnclosureCapError if the budget is unreachable under the cap.
-    """
-    width = Fraction(width)
-    if width <= 0:
-        raise ValueError("width must be positive")
-    if x.q == 0:
-        return IntervalEnclosure(x.p, x.p)
-    if lam.u_is_rational:
-        v = x.p + x.q * lam.u_exact()
-        return IntervalEnclosure(v, v)
-    J = 1
-    while True:
-        enc, exact, capped = _u_enclosure_info(lam, J)
-        out = IntervalEnclosure(x.p + x.q * enc.lo, x.p + x.q * enc.hi)
-        if out.width <= width:
-            return out
-        if exact or capped:
-            raise EnclosureCapError(
-                f"requested width {width} unreachable under materialization cap")
-        J += 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .numeric import LacunarySequence, rational_str
+from .numeric import CapError, LacunarySequence, rational_str
 from .codespace import (
     _derived_rng,
     block_decomposition,
@@ -87,7 +87,16 @@ def hoeffding_bound(N: int, p: Fraction, M: int) -> float:
     gap = N * p - M
     if gap <= 0:
         return 1.0
-    return math.exp(-2.0 * float(gap * gap) / N)
+    return math.exp(_hoeffding_exponent(gap, N, "Hoeffding bound"))
+
+
+def _hoeffding_exponent(gap: Fraction, N: int, where: str) -> float:
+    """-2 * gap**2 / N in floats; CapError when gap**2 or N overflows a float."""
+    try:
+        return -2.0 * float(gap * gap) / N
+    except OverflowError:
+        raise CapError(f"{where}: N has {N.bit_length()} bits, "
+                       "beyond float range") from None
 
 
 @dataclass(frozen=True)
@@ -228,7 +237,7 @@ def borel_cantelli_table(lam: LacunarySequence, M: int, k_max: int) -> ScaleTabl
             contribution = math.inf if count.bit_length() > 1000 else float(count)
             log10c = None
         else:
-            log_h = -2.0 * float(gap * gap) / N
+            log_h = _hoeffding_exponent(gap, N, f"scale k = {k}")
             h = _safe_exp(log_h)
             logc = math.log(count) + log_h
             contribution = _safe_exp(logc)

@@ -59,6 +59,12 @@ class TestCount:
                            "--center", "000000", "--C", "1", "--witnesses")
         assert code == 0 and json.loads(out)["witnesses"] == ["0", "1", "u"]
 
+    def test_deep_walk_does_not_recurse(self, capsys):
+        # Depth 1200 is far past the interpreter's recursion limit.
+        code, out, _ = run(capsys, "count", "--lambda", "explicit:2,6,14", "--n", "1200",
+                           "--center", "1", "--C", "1")
+        assert code == 0 and json.loads(out)["count"] == 5
+
     def test_malformed_word_exits_2(self, capsys):
         code, _, err = run(capsys, "count", "--lambda", "paper", "--n", "1",
                            "--center", "012", "--C", "1")
@@ -162,6 +168,12 @@ class TestMeasurePackBoxcount:
         contributions = [row["contribution"] for row in payload["rows"]]
         assert contributions == pytest.approx(
             [3.2029496116672322, 7.804887840518766, 15.956164411018774], rel=1e-12)
+
+    def test_verify_past_float_range_exit_3(self, capsys):
+        # The paper sequence's block count at scale k = 5 has 771 bits.
+        code, out, err = run(capsys, "verify", "--lambda", "paper", "--k-max", "5")
+        assert code == 3 and out == ""
+        assert err == "error: scale k = 5: N has 771 bits, beyond float range\n"
 
     def test_verify_csv_header(self, capsys):
         code, out, _ = run(capsys, "verify", "--lambda", "explicit:2,6,14",

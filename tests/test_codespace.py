@@ -33,11 +33,11 @@ class TestCodeSequence:
         head = seq.word
         seq.extend_to(40)
         assert seq.word[:10] == head
-        assert seq.prefix(10) == head
+        assert seq.extend_to(10)[:10] == head
 
     def test_prefix_materializes(self):
         seq = CodeSequence("fresh")
-        assert len(seq.prefix(7)) == 7
+        assert len(seq.extend_to(7)) == len(seq.word) == 7
 
     def test_alphabet(self):
         seq = sample_sequence(MASTER_SEED, 200)

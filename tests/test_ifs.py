@@ -16,7 +16,6 @@ from fracpack import (
     SymbolicPoint,
     apply_map,
     count_in_ball,
-    cylinder,
     distinct_level_points,
     make_lacunary,
     project,
@@ -109,28 +108,13 @@ class TestWordsAndMaps:
 
 
 class TestCylinders:
-    def test_root_cylinder(self):
-        c = cylinder("")
-        assert c.left == ZERO and c.length == 1
-        assert c.right == SymbolicPoint(F(1), F(0))
-
-    def test_zero_branch(self):
-        c = cylinder("0")
-        assert c.left == ZERO and c.length == F(1, 4)
-
-    def test_u_branch(self):
-        c = cylinder("u")
-        assert c.left == SymbolicPoint(F(0), F(1, 4))
-        assert c.length == F(1, 4)
-
     @given(w=words.filter(bool), ch=st.sampled_from("01u"))
     def test_child_nested_in_parent(self, w, ch, lam_toy):
-        outer = cylinder(w)
-        inner = cylinder(w + ch)
-        lo_o = exact_value(outer.left, lam_toy)
-        hi_o = lo_o + outer.length
-        lo_i = exact_value(inner.left, lam_toy)
-        assert lo_o <= lo_i and lo_i + inner.length <= hi_o
+        # The cylinder of a word v is [project(v), project(v) + 4**-len(v)].
+        lo_o = exact_value(project(w), lam_toy)
+        hi_o = lo_o + F(1, 4 ** len(w))
+        lo_i = exact_value(project(w + ch), lam_toy)
+        assert lo_o <= lo_i and lo_i + F(1, 4 ** (len(w) + 1)) <= hi_o
 
     @given(w=words, n=st.integers(0, 12))
     def test_truncation_error_bound(self, w, n, lam_toy):
@@ -140,15 +124,15 @@ class TestCylinders:
         assert abs(full - trunc) <= F(1, 3) * F(1, 4 ** n)
 
 
+def brute_hits(lam, n, center: F, radius: F) -> list[str]:
+    """Unpruned oracle: all 3**n words in the ball, in 0, 1, u order."""
+    candidates = ("".join(t) for t in itertools.product("01u", repeat=n))
+    return [w for w in candidates
+            if abs(exact_value(project(w), lam) - center) <= radius]
+
+
 def brute_count(lam, n, center: F, radius: F) -> int:
-    """Unpruned oracle: test all 3**n words with plain rational arithmetic."""
-    u = lam.u_exact()
-    hits = 0
-    for w in itertools.product("01u", repeat=n):
-        x = project("".join(w))
-        if abs(x.p + x.q * u - center) <= radius:
-            hits += 1
-    return hits
+    return len(brute_hits(lam, n, center, radius))
 
 
 class TestCounting:
@@ -201,6 +185,7 @@ class TestCounting:
         got = count_in_ball(sys_toy, n, ball, witnesses=True)
         assert len(got.witnesses) == got.count == len(set(got.witnesses))
         assert all(len(v) == n for v in got.witnesses)
+        assert got.witnesses == tuple(brute_hits(lam_toy, n, center, ball.radius))
 
 
 class TestDistinctPoints:

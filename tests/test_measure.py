@@ -24,6 +24,7 @@ from fracpack import (
     project,
     recommended_word_length,
 )
+from conftest import exact_value
 
 ZERO = SymbolicPoint(F(0), F(0))
 
@@ -33,6 +34,19 @@ def rational_interval(a, b) -> SymbolicInterval:
 
 
 dyadics = st.integers(0, 16).map(lambda k: F(k, 16))
+quarters = st.integers(0, 4).map(lambda k: F(k, 4))
+
+
+def brute_cylinders(lam, n, lo: F, hi: F) -> tuple[int, int]:
+    """(contained, intersecting) over all 3**n cylinders [x, x + 4**-n]."""
+    width = F(1, 4 ** n)
+    contained = intersecting = 0
+    for t in itertools.product("01u", repeat=n):
+        x = exact_value(project("".join(t)), lam)
+        if x <= hi and lo <= x + width:
+            intersecting += 1
+            contained += lo <= x and x + width <= hi
+    return contained, intersecting
 
 
 class TestMeasureBounds:
@@ -78,6 +92,15 @@ class TestMeasureBounds:
         mb = measure_bounds(sys_toy, rational_interval(lo, hi), n)
         assert 0 <= mb.lower <= mb.upper <= 1
         assert mb.lower * 3 ** n == mb.contained
+
+    @given(a=dyadics, b=dyadics, qa=quarters, qb=quarters, n=st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_cylinders(self, a, b, qa, qb, n, sys_toy, lam_toy):
+        ends = sorted([SymbolicPoint(a, qa), SymbolicPoint(b, qb)],
+                      key=lambda x: exact_value(x, lam_toy))
+        mb = measure_bounds(sys_toy, SymbolicInterval(*ends), n)
+        lo, hi = (exact_value(x, lam_toy) for x in ends)
+        assert (mb.contained, mb.intersecting) == brute_cylinders(lam_toy, n, lo, hi)
 
     @given(a=dyadics, b=dyadics, n=st.integers(0, 5))
     @settings(max_examples=60, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracpack import (
+    CapError,
     binom_pmf,
     binom_tail,
     borel_cantelli_table,
@@ -77,6 +78,11 @@ class TestHoeffding:
     def test_requires_positive_N(self):
         with pytest.raises(ValueError):
             hoeffding_bound(0, F(1, 3), 0)
+
+    def test_float_overflow_is_cap_error(self):
+        # (N*p)**2 = 10**400 / 9 overflows a float.
+        with pytest.raises(CapError, match="beyond float range"):
+            hoeffding_bound(10 ** 200, F(1, 3), 0)
 
     @given(N=st.integers(1, 60), p=st.sampled_from([F(1, 3), F(1, 9), F(1, 27)]),
            M=st.integers(0, 10))
