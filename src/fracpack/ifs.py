@@ -178,6 +178,56 @@ def _prefix_walk(n: int, lo: tuple[int, int], hi: tuple[int, int], den: int,
             stack.append((m + 1, P, Q))
 
 
+def _lex_rank(n: int, den: int, X: int, Y: int, strict: bool) -> int:
+    """Number of length-n words with (P*den, Q*den) <= (X, Y) in lex order.
+
+    P and Q are a word's partial sums scaled by 4**n: base-4 numbers
+    with digits in {0, 1} on disjoint positions.  With strict, counts
+    (P*den, Q*den) < (X, Y) instead.  Two O(n) digit chains:
+
+    - words with P*den < X, i.e. P <= T = (X - 1)//den: walking the
+      positions from the top, a position whose weight w fits in what is
+      left of T may hold 0 or u followed by any of the 3**(positions
+      below) completions, all below T since the lower weights sum to
+      less than w, or hold 1, which takes w from T; a weight that does
+      not fit forces 0 or u and doubles the multiplicity of the prefix;
+    - words with P*den == X, only when X//den is a valid P: their free
+      (digit-0) positions hold 0 or u, and the same walk over those
+      positions counts the Q with Q*den <= Y (or < Y).
+    """
+    count = 0
+    T = (X - 1) // den
+    if T >= 0:
+        mult = 1
+        w = 4 ** n
+        ways = 3 ** n
+        while w > 1:
+            w //= 4
+            ways //= 3
+            if T >= w:
+                count += 2 * mult * ways
+                T -= w
+            else:
+                mult *= 2
+        count += mult
+    P, r = divmod(X, den)
+    g = (4 ** n - 1) // 3
+    T = (Y - 1) // den if strict else Y // den
+    if r == 0 and 0 <= P and P | g == g and T >= 0:
+        free = g ^ P
+        rest = bin(free).count("1")
+        w = 4 ** n
+        while w > 1:
+            w //= 4
+            if free & w:
+                rest -= 1
+                if T >= w:
+                    count += 1 << rest
+                    T -= w
+        count += 1
+    return count
+
+
 def _prefix_word(n: int, m: int, P: int, Q: int) -> str:
     """The length-m prefix whose partial sums, scaled by 4**n, are P and Q."""
     out = []
@@ -199,10 +249,15 @@ def count_in_ball(sys: IFSSystem, n: int, ball: Ball,
     unpruned enumeration.  With witnesses, those words are listed in
     lexicographic 0, 1, u order.
 
-    The running time is proportional to the number of surviving nodes,
-    not 3**n, so moderate balls are fine well past the enumeration cap.
-    Beware of centers that align with the attractor's finest structure
-    (e.g. 0 itself): their exact counts can be genuinely exponential.
+    When u lies below the level-n grid for every q-difference involved
+    (lam.below_grid(max(g*den, q-parts of the ends)), irrational u only),
+    value order is lexicographic (P, Q) order and the count is
+    _lex_rank(<= hi) - _lex_rank(< lo): O(n) digit steps, exact, for
+    every depth up to about lam_1 (n = 27 under the paper sequence).
+    Witness lists and all other inputs take the walk, whose running time
+    is proportional to the number of surviving nodes, not 3**n; there,
+    centers that align with the attractor's finest structure (e.g. 0
+    itself) can make the count genuinely exponential.
     """
     if n < 0:
         raise ValueError("depth must be >= 0")
@@ -212,11 +267,14 @@ def count_in_ball(sys: IFSSystem, n: int, ball: Ball,
     c_q = ball.center.q * scale
     den = math.lcm(c_lo.denominator, c_hi.denominator, c_q.denominator)
     CQ = int(c_q * den)
+    LP, HP = int(c_lo * den), int(c_hi * den)
+    if not witnesses and sys.lam.below_grid(max((scale - 1) // 3 * den, CQ)):
+        return BallCount(_lex_rank(n, den, HP, CQ, False)
+                         - _lex_rank(n, den, LP, CQ, True))
     hulls = [((4 ** (n - m) - 1) // 3,) * 2 for m in range(n + 1)]
     count = 0
     found: list[str] = []
-    for m, P, Q, _ in _prefix_walk(n, (int(c_lo * den), CQ), (int(c_hi * den), CQ),
-                                   den, hulls, sys.lam):
+    for m, P, Q, _ in _prefix_walk(n, (LP, CQ), (HP, CQ), den, hulls, sys.lam):
         count += 3 ** (n - m)
         if witnesses:
             head = _prefix_word(n, m, P, Q)

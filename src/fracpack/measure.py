@@ -32,6 +32,7 @@ from .ifs import (
     IFSSystem,
     S_DIM,
     _decode,
+    _lex_rank,
     _level_codes,
     _prefix_walk,
     count_in_ball,
@@ -82,6 +83,12 @@ def measure_bounds(sys: IFSSystem, J: SymbolicInterval, n: int) -> MeasureBounds
     crosses an endpoint counts only as meeting J.  Lower bounds are
     nondecreasing in n because each contained cylinder splits into three
     contained children.
+
+    When lam.below_grid covers every q-difference involved, value order
+    is lexicographic (P, Q) order: a leaf cylinder [v, v + 1] lies inside
+    J exactly when lo <= v <= hi - 1, and meets J exactly when
+    lo - 1 <= v <= hi, so both counts are differences of _lex_rank
+    values, O(n) digit steps instead of a walk.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
@@ -97,17 +104,23 @@ def measure_bounds(sys: IFSSystem, J: SymbolicInterval, n: int) -> MeasureBounds
     b_q = J.hi.q * scale
     den = math.lcm(a_p.denominator, a_q.denominator,
                    b_p.denominator, b_q.denominator)
-    lo = (int(a_p * den), int(a_q * den))
-    hi = (int(b_p * den), int(b_q * den))
-    hulls = [(4 ** (n - m), 0) for m in range(n + 1)]
-    contained = 0
-    intersecting = 0
-    for m, _, _, inside in _prefix_walk(n, lo, hi, den, hulls, lam):
-        if inside:
-            contained += 3 ** (n - m)
-            intersecting += 3 ** (n - m)
-        else:
-            intersecting += 1
+    LP, LQ = lo = (int(a_p * den), int(a_q * den))
+    HP, HQ = hi = (int(b_p * den), int(b_q * den))
+    if lam.below_grid(max((scale - 1) // 3 * den, LQ, HQ)):
+        contained = max(0, _lex_rank(n, den, HP - den, HQ, False)
+                        - _lex_rank(n, den, LP, LQ, True))
+        intersecting = (_lex_rank(n, den, HP, HQ, False)
+                        - _lex_rank(n, den, LP - den, LQ, True))
+    else:
+        hulls = [(4 ** (n - m), 0) for m in range(n + 1)]
+        contained = 0
+        intersecting = 0
+        for m, _, _, inside in _prefix_walk(n, lo, hi, den, hulls, lam):
+            if inside:
+                contained += 3 ** (n - m)
+                intersecting += 3 ** (n - m)
+            else:
+                intersecting += 1
     return MeasureBounds(
         n=n,
         contained=contained,
@@ -281,7 +294,7 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
         return PackingEstimate(n=n, delta=delta, accepted=accepted)
     # Lexicographic (P, Q) order agrees with the value order as long as
     # every q-part perturbation stays below one grid unit.
-    if n + 1 <= lam.term(1):
+    if lam.below_grid((scale - 1) // 3):
         ordered = sorted(pairs)
     else:
         ordered = sorted(pairs, key=functools.cmp_to_key(
@@ -336,8 +349,8 @@ def _floor_scaled(P: int, Q: int, lam: LacunarySequence) -> int:
     if Q < 1 or P < 0:
         raise ValueError("expected nonnegative P and positive Q")
     if lam.u_is_rational:
-        u = lam.u_exact()
-        return P + (Q * u.numerator) // u.denominator
+        num, den = lam.u_ratio()
+        return P + (Q * num) // den
     # Jump to a truncation depth whose tail is already below 1/Q, then
     # refine until both enclosure ends share a floor; Q*u is irrational,
     # so the loop terminates (or hits the materialization cap and raises).
@@ -374,13 +387,12 @@ def box_counting_profile(sys: IFSSystem, n_max: int) -> BoxCountProfile:
             f"level {n_max} exceeds enumeration cap {sys.enumeration_cap}")
     lam = sys.lam
     rows = []
-    lo_n, hi_n, K = lam.coarse_u_scale() if not lam.u_is_rational else (0, 0, 0)
     for n in range(1, n_max + 1):
         codes, shift = _level_codes(sys, n)
         pairs = {_decode(c, shift) for c in codes}
-        q_top = max(Q for _, Q in pairs)
-        if not lam.u_is_rational and q_top * hi_n < K:
-            # Every q perturbation stays below one cell: floor is P.
+        if lam.below_grid((4 ** n - 1) // 3):
+            # Every q-part, at most that of the all-u word, stays below
+            # one cell: floor is P.
             cells = len({P for P, _ in pairs})
         else:
             cells = len({P if Q == 0 else _floor_scaled(P, Q, lam)

@@ -52,11 +52,32 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+# 10**500: each chunk has at most 500 digits, below the smallest int-string
+# limit the interpreter accepts (640).
+_DIGIT_CHUNK = 10 ** 500
+
+
+def _int_str(n: int) -> str:
+    """Decimal text of n at any size, identical to str(n).
+
+    str() refuses ints past the interpreter's int-string limit (4300
+    digits by default); converting 500-digit chunks stays under any
+    limit without changing the process-wide setting.
+    """
+    if n < 0:
+        return "-" + _int_str(-n)
+    chunks = []
+    while n >= _DIGIT_CHUNK:
+        n, r = divmod(n, _DIGIT_CHUNK)
+        chunks.append(f"{r:0500d}")
+    return str(n) + "".join(reversed(chunks))
+
+
 def rational_str(x: Fraction) -> str:
     """Compact exact encoding, inverse of parse_rational."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 def _is_pow2(n: int) -> bool:
@@ -181,15 +202,22 @@ class LacunarySequence:
     def u_is_rational(self) -> bool:
         return self.kind == "explicit"
 
+    def u_ratio(self) -> tuple[int, int]:
+        """Exact u as a cached, reduced (numerator, denominator) pair.
+
+        Only defined for finite explicit sequences.
+        """
+        if self._u_ratio is None:
+            if not self.u_is_rational:
+                raise ValueError("u is irrational for infinite sequence kinds")
+            top = self._terms[-1]
+            u = Fraction(sum(4 ** (top - t) for t in self._terms), 4 ** top)
+            self._u_ratio = (u.numerator, u.denominator)
+        return self._u_ratio
+
     def u_exact(self) -> Fraction:
         """Exact value of u; only defined for finite explicit sequences."""
-        if not self.u_is_rational:
-            raise ValueError("u is irrational for infinite sequence kinds")
-        if self._u_ratio is None:
-            top = self._terms[-1]
-            num = sum(4 ** (top - t) for t in self._terms)
-            self._u_ratio = (num, 4 ** top)
-        return Fraction(*self._u_ratio)
+        return Fraction(*self.u_ratio())
 
     def coarse_u_scale(self) -> tuple[int, int, int]:
         """Integers (lo, hi, K) with lo/K < u < hi/K, cheap to multiply by.
@@ -204,6 +232,19 @@ class LacunarySequence:
             else:
                 self._coarse = (0, 4, 3 * 4 ** self.materialize_cap)
         return self._coarse
+
+    def below_grid(self, q: int) -> bool:
+        """True when u is irrational and q*u < 1 is certified.
+
+        A q-part of at most q then moves a point scaled by 4**n by less
+        than one level-n grid cell, so for integers A and |B| <= q the
+        sign of A + B*u is the sign of A, or of B when A == 0: value
+        order is lexicographic (P, Q) order and floor(P + Q*u) is P.
+        """
+        if self.u_is_rational:
+            return False
+        _, hi_n, K = self.coarse_u_scale()
+        return q * hi_n <= K
 
     def descriptor(self) -> str:
         if self.kind == "paper":
@@ -340,8 +381,8 @@ def affine_sign_scaled(A: int, B: int, lam: LacunarySequence) -> int:
     if B == 0:
         return _sgn(A)
     if lam.u_is_rational:
-        u = lam.u_exact()
-        return _sgn(A * u.denominator + B * u.numerator)
+        num, den = lam.u_ratio()
+        return _sgn(A * den + B * num)
     lo_n, hi_n, K = lam.coarse_u_scale()
     s_lo = _sgn(A * K + B * lo_n)
     s_hi = _sgn(A * K + B * hi_n)

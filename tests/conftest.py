@@ -1,8 +1,10 @@
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from fracpack import IFSSystem, make_lacunary
+from fracpack import IFSSystem, LacunarySequence, make_lacunary
 
 MASTER_SEED = 0x5EED
 
@@ -36,3 +38,10 @@ def exact_value(point, lam) -> Fraction:
     """Collapse p + q*u to a plain rational; only valid when u is rational."""
     u = lam.u_exact()
     return point.p + point.q * u
+
+
+@contextlib.contextmanager
+def walker_only():
+    """Close the below-grid gate, so counts take the prefix-tree walk."""
+    with mock.patch.object(LacunarySequence, "below_grid", return_value=False):
+        yield

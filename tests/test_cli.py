@@ -65,6 +65,14 @@ class TestCount:
                            "--center", "1", "--C", "1")
         assert code == 0 and json.loads(out)["count"] == 5
 
+    def test_paper_count_at_lam1(self, capsys):
+        # n = lam_1 = 27: u stays below the grid, so the count is O(n) digit
+        # steps where the walk would visit about 2**27 nodes.  The hits are
+        # P = 0 with any q-part (2**27 words) and the word 0...01 at 1.
+        code, out, _ = run(capsys, "count", "--lambda", "paper", "--n", "27",
+                           "--center", "0", "--C", "1")
+        assert code == 0 and json.loads(out)["count"] == 2 ** 27 + 1
+
     def test_malformed_word_exits_2(self, capsys):
         code, _, err = run(capsys, "count", "--lambda", "paper", "--n", "1",
                            "--center", "012", "--C", "1")

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracpack import (
@@ -22,7 +22,7 @@ from fracpack import (
     similarity_dimension,
     validate_word,
 )
-from conftest import exact_value
+from conftest import exact_value, walker_only
 
 ZERO = SymbolicPoint(F(0), F(0))
 
@@ -186,6 +186,31 @@ class TestCounting:
         assert len(got.witnesses) == got.count == len(set(got.witnesses))
         assert all(len(v) == n for v in got.witnesses)
         assert got.witnesses == tuple(brute_hits(lam_toy, n, center, ball.radius))
+
+
+# Both keep u irrational; start=12 puts the below-grid gate inside the
+# drawn range (n <= 10, centre words up to n + 6 symbols long).
+gated_lams = st.sampled_from(["paper", "geometric:b=3,start=12"])
+
+
+class TestRankPath:
+    def test_gate_edge_at_lam1(self, lam_paper):
+        # Ball B(0, 4**-n): den = 1 and no q-part at the ends, so the gate
+        # asks for the largest q-part g = (4**n - 1)//3 below the grid.
+        assert lam_paper.below_grid((4 ** 27 - 1) // 3)
+        assert not lam_paper.below_grid((4 ** 28 - 1) // 3)
+
+    @given(desc=gated_lams, n=st.integers(0, 10),
+           w=st.text(alphabet="01u", max_size=16), num=st.integers(0, 14))
+    @example(desc="geometric:b=3,start=12", n=3, w="u1", num=6)        # gate holds
+    @example(desc="geometric:b=3,start=12", n=10, w="u" * 16, num=6)   # gate fails
+    @settings(max_examples=80, deadline=None)
+    def test_rank_path_matches_walker(self, desc, n, w, num):
+        sys = IFSSystem(make_lacunary(desc))
+        ball = Ball(project(w[:n + 6]), F(num, 6) * F(1, 4 ** n))
+        with walker_only():
+            walked = count_in_ball(sys, n, ball).count
+        assert count_in_ball(sys, n, ball).count == walked
 
 
 class TestDistinctPoints:

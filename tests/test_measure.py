@@ -1,11 +1,12 @@
 """Tests for certified measure bounds, density ratios, packing and box counts."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracpack import (
@@ -23,8 +24,9 @@ from fracpack import (
     packing_premeasure_estimate,
     project,
     recommended_word_length,
+    sym_compare,
 )
-from conftest import exact_value
+from conftest import exact_value, walker_only
 
 ZERO = SymbolicPoint(F(0), F(0))
 
@@ -101,6 +103,23 @@ class TestMeasureBounds:
         mb = measure_bounds(sys_toy, SymbolicInterval(*ends), n)
         lo, hi = (exact_value(x, lam_toy) for x in ends)
         assert (mb.contained, mb.intersecting) == brute_cylinders(lam_toy, n, lo, hi)
+
+    @given(desc=st.sampled_from(["paper", "geometric:b=3,start=12"]),
+           n=st.integers(0, 10), a=st.text(alphabet="01u", max_size=16),
+           b=st.text(alphabet="01u", max_size=16), shift=st.integers(0, 5))
+    @example(desc="geometric:b=3,start=12", n=3, a="0u", b="1", shift=2)    # gate holds
+    @example(desc="geometric:b=3,start=12", n=10, a="u" * 16, b="1", shift=0)  # gate fails
+    @settings(max_examples=80, deadline=None)
+    def test_rank_path_matches_walker(self, desc, n, a, b, shift):
+        lam = make_lacunary(desc)
+        sys = IFSSystem(lam)
+        x, y = project(a[:n + 6]), project(b[:n + 6])
+        y = SymbolicPoint(y.p + F(shift, 4 ** (n + 1)), y.q)
+        J = SymbolicInterval(*sorted([x, y], key=functools.cmp_to_key(
+            lambda s, t: sym_compare(s, t, lam))))
+        with walker_only():
+            walked = measure_bounds(sys, J, n)
+        assert measure_bounds(sys, J, n) == walked
 
     @given(a=dyadics, b=dyadics, n=st.integers(0, 5))
     @settings(max_examples=60, deadline=None)

@@ -50,6 +50,12 @@ class TestParsing:
         for x in (F(1, 4), F(0), F(7), F(-3, 8)):
             assert parse_rational(rational_str(x)) == x
 
+    def test_rational_str_matches_str_across_chunks(self):
+        # Interior runs of zeros cross the 500-digit chunk boundaries.
+        for num in (10 ** 500, 10 ** 1200 + 7, -(3 ** 2000)):
+            x = F(num, 7 ** 900)
+            assert rational_str(x) == f"{x.numerator}/{x.denominator}"
+
 
 class TestLacunarySequence:
     def test_paper_terms(self, lam_paper):

@@ -91,6 +91,15 @@ class TestHoeffding:
         assert float(binom_tail(N, p, M)) <= bound * (1 + 1e-12)
 
 
+def _parse_digits(text: str) -> int:
+    """int(text) in 500-digit chunks, each below the int-string limit."""
+    value = 0
+    for i in range(0, len(text), 500):
+        chunk = text[i:i + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 class TestTailReport:
     def test_fields_and_serialization(self):
         rep = tail_report(3, F(1, 3), 1)
@@ -98,6 +107,14 @@ class TestTailReport:
         d = rep.to_dict()
         assert d["p"] == "1/3" and d["exact_tail"] == "20/27"
         assert d["exact_tail_float"] == pytest.approx(20 / 27)
+
+    def test_serialization_past_int_string_limit(self):
+        # The exact tail's numerator and denominator have over 9000 digits,
+        # past the interpreter's default 4300-digit str() limit.
+        rep = tail_report(10 ** 4, F(1, 9), 1000)
+        num, den = rep.to_dict()["exact_tail"].split("/")
+        assert len(den) > 4300
+        assert F(_parse_digits(num), _parse_digits(den)) == rep.exact_tail
 
     def test_unflagged_case(self):
         rep = tail_report(9, F(1, 3), 1)
