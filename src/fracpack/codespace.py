@@ -99,12 +99,6 @@ def is_influenced(word: str, i: int, j: int,
     w = validate_word(word)
     if not (1 <= i <= j <= len(w)):
         raise ValueError(f"need 1 <= i <= j <= len(word), got i={i}, j={j}, len={len(w)}")
-    return _influence_record(w, i, j, lam)
-
-
-def _influence_record(w: str, i: int, j: int,
-                      lam: LacunarySequence) -> Optional[InfluenceRecord]:
-    """is_influenced for a validated word and in-range positions."""
     k = lam.window_index(j - i)
     if k is None or not _shows_pattern(w, i, k, lam):
         return None
@@ -124,16 +118,40 @@ class InfluenceSummary:
 
 
 def influence_count(word: str, j: int, lam: LacunarySequence) -> InfluenceSummary:
-    """All influence records for position j, scanning i = 1..j."""
+    """All influence records for position j, in increasing i.
+
+    Equal to collecting is_influenced(word, i, j, lam) for i = 1..j, but
+    the scan goes window by window (see _influence_records), so each
+    window's terms are read once rather than once per position.
+    """
     w = validate_word(word)
     if not (1 <= j <= len(w)):
         raise ValueError(f"need 1 <= j <= len(word), got j={j}, len={len(w)}")
-    records = []
-    for i in range(1, j + 1):
-        rec = _influence_record(w, i, j, lam)
-        if rec is not None:
-            records.append(rec)
+    records = _influence_records(w, j, lam)
     return InfluenceSummary(len(records), tuple(records))
+
+
+def _influence_records(w: str, j: int, lam: LacunarySequence) -> list[InfluenceRecord]:
+    """influence_count's records for a validated word and 1 <= j <= len(w).
+
+    The positions i with lam_k < j - i <= lam_{k+1} form one window, in
+    which every i probes the same offsets lam_1, ..., lam_k.  Windows run
+    from the largest k down, so i increases.  For a finite explicit list
+    the distances past its last term lie in no window and match nothing.
+    """
+    terms = lam.terms_below(j)  # every lam_k <= j - 1, the largest distance
+    top = len(terms)
+    if lam.term_or_none(top + 1) is None:
+        top -= 1
+    records = []
+    for k in range(top, -1, -1):
+        offsets = [t - 1 for t in terms[:k]]  # w[i - 1 + lam_m] is w[i + lam_m - 1]
+        far = terms[k] if k < len(terms) else j - 1  # largest distance in window k
+        near = terms[k - 1] if k else 0
+        for i in range(j - far, j - near):
+            if w[i - 1] == "u" and all(w[i + t] == "0" for t in offsets):
+                records.append(InfluenceRecord(i, k))
+    return records
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ soundness.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -47,14 +48,36 @@ def _sgn(x) -> int:
     return 0
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'a/b', decimal or integer text into an exact Fraction."""
-    return Fraction(text.strip())
-
-
 # 10**500: each chunk has at most 500 digits, below the smallest int-string
 # limit the interpreter accepts (640).
 _DIGIT_CHUNK = 10 ** 500
+
+_INT_RATIO = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse 'a/b', decimal or integer text into an exact Fraction.
+
+    Plain [-]digits[/digits] text, the form rational_str writes, is read
+    in 500-digit chunks, so it parses at any length; everything else goes
+    to Fraction(text) unchanged.
+    """
+    text = text.strip()
+    m = _INT_RATIO.fullmatch(text)
+    if m is None:
+        return Fraction(text)
+    sign, num, den = m.groups()
+    value = Fraction(_parse_int(num), _parse_int(den) if den else 1)
+    return -value if sign else value
+
+
+def _parse_int(digits: str) -> int:
+    """int(digits) at any length, the inverse of _int_str."""
+    value = 0
+    for i in range(0, len(digits), 500):
+        chunk = digits[i:i + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 def _int_str(n: int) -> str:

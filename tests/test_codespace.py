@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fracpack import (
     CodeSequence,
     InfluenceRecord,
+    InfluenceSummary,
     block_decomposition,
     block_success_count,
     influence_count,
@@ -87,6 +88,19 @@ class TestInfluence:
     def test_count_matches_records(self, lam_toy):
         summary = influence_count("u1011", 5, lam_toy)
         assert summary.count == len(summary.records) == 1
+
+    @given(data=st.data(),
+           lam=st.sampled_from(["paper", "geometric:b=3,start=3",
+                                "explicit:2,6,14", "explicit:1"]),
+           w=st.text(alphabet="01u", min_size=1, max_size=120))
+    @settings(max_examples=200)
+    def test_count_matches_per_pair_oracle(self, data, lam, w):
+        # explicit:2,6,14 and explicit:1 leave distances past the last term.
+        j = data.draw(st.integers(1, len(w)), label="j")
+        seq = make_lacunary(lam)
+        oracle = [is_influenced(w, i, j, seq) for i in range(1, j + 1)]
+        oracle = tuple(rec for rec in oracle if rec is not None)
+        assert influence_count(w, j, seq) == InfluenceSummary(len(oracle), oracle)
 
     @given(w=st.text(alphabet="01u", min_size=1, max_size=25))
     @settings(max_examples=80)

@@ -50,6 +50,11 @@ class TestParsing:
         for x in (F(1, 4), F(0), F(7), F(-3, 8)):
             assert parse_rational(rational_str(x)) == x
 
+    def test_roundtrip_past_int_string_limit(self):
+        # 5001 digits, past the interpreter's default 4300-digit limit.
+        for x in (F(10 ** 5000 + 1, 3), F(-(10 ** 5000) - 7, 3 ** 9000), F(7 ** 6000)):
+            assert parse_rational(rational_str(x)) == x
+
     def test_rational_str_matches_str_across_chunks(self):
         # Interior runs of zeros cross the 500-digit chunk boundaries.
         for num in (10 ** 500, 10 ** 1200 + 7, -(3 ** 2000)):

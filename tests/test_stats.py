@@ -16,6 +16,7 @@ from fracpack import (
     hoeffding_bound,
     make_lacunary,
     monte_carlo_growth,
+    parse_rational,
     tail_report,
 )
 from fracpack.stats import EXACT_BINOMIAL_LIMIT, LOG_DOMAIN_REL_TOL, empirical_quantile
@@ -65,6 +66,23 @@ class TestBinomial:
     def test_tail_monotone_in_M(self, N, p, M):
         assert binom_tail(N, p, M) <= binom_tail(N, p, M + 1)
 
+    @given(data=st.data(), N=st.integers(0, 60), b=st.integers(1, 9))
+    @settings(max_examples=300)
+    def test_matches_comb_sum(self, data, N, b):
+        # p = 0, p = 1 and M >= N are all in range.
+        a = data.draw(st.integers(0, b), label="a")
+        M = data.draw(st.integers(0, N + 10), label="M")
+        p = F(a, b)
+        pmf = [F(math.comb(N, m) * a ** m * (b - a) ** (N - m), b ** N)
+               for m in range(N + 1)]
+        assert binom_pmf(N, p) == pmf
+        assert binom_tail(N, p, M) == sum(pmf[:M + 1], F(0))
+
+    def test_matches_comb_sum_at_exact_limit(self):
+        N, M = EXACT_BINOMIAL_LIMIT, 1000
+        exact = F(sum(math.comb(N, m) * 8 ** (N - m) for m in range(M + 1)), 9 ** N)
+        assert binom_tail(N, F(1, 9), M) == exact
+
 
 class TestHoeffding:
     def test_closed_forms(self):
@@ -91,15 +109,6 @@ class TestHoeffding:
         assert float(binom_tail(N, p, M)) <= bound * (1 + 1e-12)
 
 
-def _parse_digits(text: str) -> int:
-    """int(text) in 500-digit chunks, each below the int-string limit."""
-    value = 0
-    for i in range(0, len(text), 500):
-        chunk = text[i:i + 500]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return value
-
-
 class TestTailReport:
     def test_fields_and_serialization(self):
         rep = tail_report(3, F(1, 3), 1)
@@ -112,9 +121,9 @@ class TestTailReport:
         # The exact tail's numerator and denominator have over 9000 digits,
         # past the interpreter's default 4300-digit str() limit.
         rep = tail_report(10 ** 4, F(1, 9), 1000)
-        num, den = rep.to_dict()["exact_tail"].split("/")
-        assert len(den) > 4300
-        assert F(_parse_digits(num), _parse_digits(den)) == rep.exact_tail
+        text = rep.to_dict()["exact_tail"]
+        assert len(text.split("/")[1]) > 4300
+        assert parse_rational(text) == rep.exact_tail
 
     def test_unflagged_case(self):
         rep = tail_report(9, F(1, 3), 1)
