@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -54,10 +55,11 @@ def _render_csv(rows: list[list]) -> str:
 
 
 def _emit(args, cfg: RunConfig, payload: dict, rows: list[list]) -> None:
-    text = _render_json(payload) if args.format == "json" else _render_csv(rows)
+    fmt = cfg.format if args.format is None else args.format
+    text = _render_json(payload) if fmt == "json" else _render_csv(rows)
     out = args.out
     if out is None and cfg.out_dir:
-        out = os.path.join(cfg.out_dir, f"{args.command}.{args.format}")
+        out = os.path.join(cfg.out_dir, f"{args.command}.{fmt}")
     if out is None:
         sys.stdout.write(text)
         return
@@ -68,7 +70,8 @@ def _emit(args, cfg: RunConfig, payload: dict, rows: list[list]) -> None:
 
 
 def _system(args, cfg: RunConfig) -> IFSSystem:
-    lam = make_lacunary(args.lam, materialize_cap=cfg.materialize_cap)
+    desc = cfg.lam if args.lam is None else args.lam
+    lam = make_lacunary(desc, materialize_cap=cfg.materialize_cap)
     return IFSSystem(lam, enumeration_cap=cfg.enum_cap)
 
 
@@ -124,7 +127,7 @@ def cmd_count(args, cfg: RunConfig) -> int:
 
 
 def cmd_influence(args, cfg: RunConfig) -> int:
-    lam = make_lacunary(args.lam, materialize_cap=cfg.materialize_cap)
+    lam = _system(args, cfg).lam
     j = args.j if args.j is not None else len(args.word)
     summary = influence_count(args.word, j, lam)
     payload = {
@@ -141,10 +144,11 @@ def cmd_influence(args, cfg: RunConfig) -> int:
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
-    lam = make_lacunary(args.lam, materialize_cap=cfg.materialize_cap)
+    lam = _system(args, cfg).lam
     checkpoints = _parse_ints(args.checkpoints, "checkpoints")
     trials = _check_trials(args.trials, cfg)
-    report = monte_carlo_growth(lam, checkpoints, trials, args.seed)
+    seed = cfg.seed if args.seed is None else args.seed
+    report = monte_carlo_growth(lam, checkpoints, trials, seed)
     _emit(args, cfg, report.to_dict(), report.csv_rows())
     return 0
 
@@ -193,7 +197,7 @@ def cmd_boxcount(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    lam = make_lacunary(args.lam, materialize_cap=cfg.materialize_cap)
+    lam = _system(args, cfg).lam
     table = borel_cantelli_table(lam, args.M, args.k_max)
     rows = [["k", "j_lo", "j_hi", "count", "N", "p", "M", "flagged",
              "hoeffding", "contribution", "log10_contribution"]]
@@ -204,19 +208,23 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, cfg: RunConfig,
-                with_lambda: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, with_lambda: bool = True) -> None:
     sub.add_argument("--config", default=None, help="key=value config file")
-    sub.add_argument("--format", choices=("json", "csv"), default=cfg.format)
+    sub.add_argument("--format", choices=("json", "csv"), default=None)
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="output file (default: stdout, or out_dir from config)")
     if with_lambda:
-        sub.add_argument("--lambda", dest="lam", default=cfg.lam, metavar="DESC",
+        sub.add_argument("--lambda", dest="lam", default=None, metavar="DESC",
                          help="sequence descriptor: paper | geometric:b=B,start=S"
                               " | explicit:t1,t2,...")
 
 
-def build_parser(cfg: RunConfig) -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after.
+
+    --lambda, --format and --seed default to None; the config fills them.
+    """
     parser = argparse.ArgumentParser(
         prog="fracpack",
         description="Exact-arithmetic analyses of a base-4 self-similar set "
@@ -224,15 +232,13 @@ def build_parser(cfg: RunConfig) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("dimension", help="similarity dimension of a ratio list")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-    p.add_argument("--out", default=None, metavar="PATH")
+    _add_common(p, with_lambda=False)
     p.add_argument("--ratios", required=True,
                    help="comma-separated contraction ratios, e.g. 1/4,1/4,1/4")
     p.set_defaults(func=cmd_dimension)
 
     p = subs.add_parser("count", help="level-n points inside a ball")
-    _add_common(p, cfg)
+    _add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--center", required=True, metavar="WORD",
                    help="code word over {0,1,u}; the ball center is its projection")
@@ -242,22 +248,22 @@ def build_parser(cfg: RunConfig) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = subs.add_parser("influence", help="influencing positions of a word")
-    _add_common(p, cfg)
+    _add_common(p)
     p.add_argument("--word", required=True)
     p.add_argument("--j", type=int, default=None,
                    help="target position (default: word length)")
     p.set_defaults(func=cmd_influence)
 
     p = subs.add_parser("simulate", help="Monte Carlo growth of influence counts")
-    _add_common(p, cfg)
+    _add_common(p)
     p.add_argument("--checkpoints", required=True,
                    help="comma-separated positions, e.g. 6,14,30")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("density", help="lower density ratio profile at a point")
-    _add_common(p, cfg)
+    _add_common(p)
     p.add_argument("--word", default=None,
                    help="code word for the center (default: all zeros)")
     p.add_argument("--n-max", type=int, required=True)
@@ -265,25 +271,25 @@ def build_parser(cfg: RunConfig) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_density)
 
     p = subs.add_parser("measure", help="natural-measure bounds for an interval")
-    _add_common(p, cfg)
+    _add_common(p)
     p.add_argument("--lo", required=True, help="left endpoint (rational)")
     p.add_argument("--hi", required=True, help="right endpoint (rational)")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_measure)
 
     p = subs.add_parser("pack", help="greedy packing pre-measure estimate")
-    _add_common(p, cfg)
+    _add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", required=True, help="separation gauge (rational)")
     p.set_defaults(func=cmd_pack)
 
     p = subs.add_parser("boxcount", help="occupied 4**-n cells per level")
-    _add_common(p, cfg)
+    _add_common(p)
     p.add_argument("--n-max", type=int, required=True)
     p.set_defaults(func=cmd_boxcount)
 
     p = subs.add_parser("verify", help="per-scale tail-bound summability table")
-    _add_common(p, cfg)
+    _add_common(p)
     p.add_argument("--M", type=int, default=0, help="threshold in the tail bound")
     p.add_argument("--k-max", type=int, default=2)
     p.set_defaults(func=cmd_verify)
@@ -294,13 +300,8 @@ def build_parser(cfg: RunConfig) -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        pre = argparse.ArgumentParser(add_help=False)
-        pre.add_argument("--config", default=None)
-        known, _ = pre.parse_known_args(argv)
-        cfg = resolve_config(known.config)
-        parser = build_parser(cfg)
-        args = parser.parse_args(argv)
-        return args.func(args, cfg)
+        args = build_parser().parse_args(argv)
+        return args.func(args, resolve_config(args.config))
     except SystemExit as exc:
         code = exc.code
         return 0 if code is None else int(code)

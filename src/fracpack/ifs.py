@@ -10,11 +10,12 @@ full enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Collection, Optional
 
 from .numeric import (
     EnumerationCapError,
@@ -304,24 +305,38 @@ def _level_codes(sys: IFSSystem, n: int) -> tuple[list[int], int]:
     return codes, shift
 
 
-def _decode(code: int, shift: int) -> tuple[int, int]:
-    return code >> shift, code & ((1 << shift) - 1)
+def _level_points(sys: IFSSystem, n: int,
+                  ordered: bool = True) -> tuple[Collection[int], int]:
+    """Codes (as _level_codes) of the distinct level-n points, and the shift.
+
+    The codes come in increasing value order unless ordered is False.
+    Rational u = num/den dedupes and orders on the exact value
+    P*den + Q*num.  For irrational u, 1 and u are rationally independent,
+    so equal points have equal codes; code order is (P, Q) lex order,
+    which is value order below the grid, and past it sign tests order.
+    """
+    codes, shift = _level_codes(sys, n)
+    lam = sys.lam
+    mask = (1 << shift) - 1
+    if lam.u_is_rational:
+        num, den = lam.u_ratio()
+        by_value = {(c >> shift) * den + (c & mask) * num: c for c in codes}
+        return [by_value[v] for v in (sorted(by_value) if ordered else by_value)], shift
+    points = set(codes)
+    if not ordered:
+        return points, shift
+    if lam.below_grid((4 ** n - 1) // 3):
+        return sorted(points), shift
+    return sorted(points, key=functools.cmp_to_key(
+        lambda a, b: affine_sign_scaled((a >> shift) - (b >> shift),
+                                        (a & mask) - (b & mask), lam))), shift
 
 
 def distinct_level_points(sys: IFSSystem, n: int) -> int:
     """Number of distinct projections among all 3**n length-n words.
 
-    Deduplication is by exact equality: the (P, Q) pair for irrational-mode
-    sequences (rational independence of 1 and u), the exact rational value
-    otherwise.  Irrational-mode counts are always exactly 3**n because the
-    digit supports of p and q recover the word.
+    Enumerates the level and dedupes it by exact equality (_level_points,
+    unordered).  Irrational-mode counts are always exactly 3**n because
+    the digit supports of p and q recover the word.
     """
-    codes, shift = _level_codes(sys, n)
-    lam = sys.lam
-    if not lam.u_is_rational:
-        return len(set(codes))
-    u = lam.u_exact()
-    mask = (1 << shift) - 1
-    seen = {(code >> shift) * u.denominator + (code & mask) * u.numerator
-            for code in codes}
-    return len(seen)
+    return len(_level_points(sys, n, ordered=False)[0])

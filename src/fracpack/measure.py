@@ -11,7 +11,6 @@ ratio M / (2*(C+1))**s against the enclosing ball of radius
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +30,9 @@ from .ifs import (
     Ball,
     IFSSystem,
     S_DIM,
-    _decode,
     _lex_rank,
     _level_codes,
+    _level_points,
     _prefix_walk,
     count_in_ball,
     project,
@@ -266,49 +265,29 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
                                 delta: Fraction) -> PackingEstimate:
     """Greedy packing count among distinct level-n points.
 
-    Sweeps the points in increasing order and accepts a point whenever
-    its distance to the last accepted point exceeds delta (for a sorted
-    sweep that distance is minimal over all accepted points).  The
-    accepted centers support disjoint closed balls of radius delta/2, so
-    accepted * delta**s estimates the packing pre-measure sum at gauge
-    delta.
+    Sweeps the distinct points of _level_points in increasing value
+    order and accepts a point whenever its distance to the last accepted
+    point exceeds delta (for a sorted sweep that distance is minimal over
+    all accepted points), decided by one exact sign test for every kind
+    of u.  The accepted centers support disjoint closed balls of radius
+    delta/2, so accepted * delta**s estimates the packing pre-measure sum
+    at gauge delta.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    lam = sys.lam
-    codes, shift = _level_codes(sys, n)
-    pairs = {_decode(c, shift) for c in codes}
-    scale = 4 ** n
-    if lam.u_is_rational:
-        u = lam.u_exact()
-        # Scaled exact values dedupe coinciding projections.
-        vals = sorted({P * u.denominator + Q * u.numerator for P, Q in pairs})
-        threshold = delta * scale * u.denominator
-        accepted = 0
-        last: Optional[int] = None
-        for v in vals:
-            if last is None or v - last > threshold:
-                accepted += 1
-                last = v
-        return PackingEstimate(n=n, delta=delta, accepted=accepted)
-    # Lexicographic (P, Q) order agrees with the value order as long as
-    # every q-part perturbation stays below one grid unit.
-    if lam.below_grid((scale - 1) // 3):
-        ordered = sorted(pairs)
-    else:
-        ordered = sorted(pairs, key=functools.cmp_to_key(
-            lambda a, b: affine_sign_scaled(a[0] - b[0], a[1] - b[1], lam)))
-    d_scaled = delta * scale
-    dnum, dden = d_scaled.numerator, d_scaled.denominator
+    points, shift = _level_points(sys, n)
+    mask = (1 << shift) - 1
+    dnum, dden = (delta * 4 ** n).as_integer_ratio()
     accepted = 0
-    prev: Optional[tuple[int, int]] = None
-    for P, Q in ordered:
+    prev: Optional[int] = None
+    for c in points:
         # Distance (P - prevP + (Q - prevQ)*u) / 4**n > delta, exactly.
-        if prev is None or affine_sign_scaled((P - prev[0]) * dden - dnum,
-                                              (Q - prev[1]) * dden, lam) > 0:
+        if prev is None or affine_sign_scaled(
+                ((c >> shift) - (prev >> shift)) * dden - dnum,
+                ((c & mask) - (prev & mask)) * dden, sys.lam) > 0:
             accepted += 1
-            prev = (P, Q)
+            prev = c
     return PackingEstimate(n=n, delta=delta, accepted=accepted)
 
 
@@ -389,13 +368,14 @@ def box_counting_profile(sys: IFSSystem, n_max: int) -> BoxCountProfile:
     rows = []
     for n in range(1, n_max + 1):
         codes, shift = _level_codes(sys, n)
-        pairs = {_decode(c, shift) for c in codes}
         if lam.below_grid((4 ** n - 1) // 3):
             # Every q-part, at most that of the all-u word, stays below
             # one cell: floor is P.
-            cells = len({P for P, _ in pairs})
+            cells = len({c >> shift for c in codes})
         else:
-            cells = len({P if Q == 0 else _floor_scaled(P, Q, lam)
-                         for P, Q in pairs})
+            mask = (1 << shift) - 1
+            cells = len({c >> shift if c & mask == 0
+                         else _floor_scaled(c >> shift, c & mask, lam)
+                         for c in codes})
         rows.append(BoxCountRow(n=n, cells=cells))
     return BoxCountProfile(lam.descriptor(), tuple(rows))

@@ -60,14 +60,17 @@ def parse_rational(text: str) -> Fraction:
 
     Plain [-]digits[/digits] text, the form rational_str writes, is read
     in 500-digit chunks, so it parses at any length; everything else goes
-    to Fraction(text) unchanged.
+    to Fraction(text) unchanged.  A zero denominator raises ValueError.
     """
     text = text.strip()
     m = _INT_RATIO.fullmatch(text)
-    if m is None:
-        return Fraction(text)
-    sign, num, den = m.groups()
-    value = Fraction(_parse_int(num), _parse_int(den) if den else 1)
+    try:
+        if m is None:
+            return Fraction(text)
+        sign, num, den = m.groups()
+        value = Fraction(_parse_int(num), _parse_int(den) if den else 1)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     return -value if sign else value
 
 

@@ -42,6 +42,7 @@ def exact_value(point, lam) -> Fraction:
 
 @contextlib.contextmanager
 def walker_only():
-    """Close the below-grid gate, so counts take the prefix-tree walk."""
+    """Close the below-grid gate: counts take the prefix-tree walk, level
+    points the sign-test order and box counts the enclosure floor."""
     with mock.patch.object(LacunarySequence, "below_grid", return_value=False):
         yield

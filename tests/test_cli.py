@@ -245,10 +245,29 @@ class TestConfigResolution:
                            "--center", "0")
         assert code == 2 and "descriptor" in err
 
+    def test_empty_lambda_flag_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("FRACPACK_LAMBDA", "explicit:2,6")
+        code, _, err = run(capsys, "count", "--lambda", "", "--n", "1",
+                           "--center", "0")
+        assert code == 2 and "descriptor" in err
+
     def test_growth_gate_violation_exit_2(self, capsys):
         code, _, err = run(capsys, "count", "--lambda", "explicit:2,4", "--n", "1",
                            "--center", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--n", "2", "--center", "0", "--C", "1/0"),
+        ("measure", "--n", "2", "--hi", "1", "--lo", "1/0"),
+        ("measure", "--n", "2", "--lo", "0", "--hi", "1/0"),
+        ("pack", "--n", "2", "--delta", "1/0"),
+        ("density", "--n-max", "2", "--C", "1/0"),
+        ("dimension", "--ratios", "1/4,1/0"),
+    ], ids=lambda a: a[0] + a[-2])
+    def test_zero_denominator_exit_2(self, argv, capsys):
+        lam = () if argv[0] == "dimension" else ("--lambda", "explicit:2,6")
+        code, _, err = run(capsys, *argv, *lam)
+        assert code == 2 and "zero denominator" in err
 
 
 ALL_COMMANDS = [

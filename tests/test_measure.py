@@ -225,12 +225,17 @@ class TestPacking:
         assert counts == [25, 10, 4, 2, 1]
         assert counts == sorted(counts, reverse=True)
 
-    @given(n=st.integers(0, 5), num=st.integers(1, 64))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_exact_greedy_oracle(self, n, num, sys_toy, lam_toy):
+    @given(desc=st.sampled_from(["explicit:2,6,14", "explicit:1", "explicit:1,3,7"]),
+           n=st.integers(0, 5), num=st.integers(1, 64))
+    @example(desc="explicit:1", n=4, num=1)
+    @example(desc="explicit:1,3,7", n=3, num=1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_exact_greedy_oracle(self, desc, n, num):
+        # explicit:1 and explicit:1,3,7 make distinct words share a point.
+        lam = make_lacunary(desc)
         delta = F(num, 64)
-        est = packing_premeasure_estimate(sys_toy, n, delta)
-        u = lam_toy.u_exact()
+        est = packing_premeasure_estimate(IFSSystem(lam), n, delta)
+        u = lam.u_exact()
         vals = sorted({x.p + x.q * u for x in
                        (project("".join(t)) for t in itertools.product("01u", repeat=n))})
         accepted, last = 0, None
@@ -246,6 +251,20 @@ class TestPacking:
         # term_1 = 1 forces the enclosure-backed sort order.
         sys_g = IFSSystem(make_lacunary("geometric:b=3,start=1"))
         assert packing_premeasure_estimate(sys_g, n, delta).accepted == expected
+
+    @given(desc=st.sampled_from(["paper", "geometric:b=3,start=12"]),
+           n=st.integers(1, 7), num=st.integers(1, 64), k=st.integers(0, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_sign_order_matches_lex_order(self, desc, n, num, k):
+        # Closing the gate sorts by exact sign tests and floors each point
+        # by enclosures; below the grid both must agree with code order.
+        sys = IFSSystem(make_lacunary(desc))
+        delta = F(num, 4 ** k)
+        with walker_only():
+            packed = packing_premeasure_estimate(sys, n, delta)
+            boxed = box_counting_profile(sys, n)
+        assert packing_premeasure_estimate(sys, n, delta) == packed
+        assert box_counting_profile(sys, n) == boxed
 
 
 class TestBoxCounting:

@@ -17,8 +17,6 @@ def load(name: str):
 
 @pytest.mark.parametrize("name,argv", [
     ("density_blowup", ["--samples", "40", "--min-successes", "1"]),
-    ("growth_study", ["--trials", "20"]),
-    ("tail_table", ["--lambda", "explicit:2,6,14", "--M", "0", "--k-max", "1"]),
 ])
 def test_script_runs(name, argv, capsys):
     assert load(name).main(argv) == 0
