@@ -95,10 +95,11 @@ def cmd_dimension(args, cfg: RunConfig) -> int:
     parts = [p.strip() for p in args.ratios.split(",") if p.strip()]
     ratios = [parse_rational(p) for p in parts]
     s = _round15(similarity_dimension(ratios))
-    if args.format is None and args.out is None:
+    # The bare float, unless a flag or the config asks for csv or a file.
+    if (args.format is None and args.out is None
+            and cfg.format == "json" and not cfg.out_dir):
         sys.stdout.write(f"{s!r}\n")
         return 0
-    args.format = args.format or "json"
     payload = {"schema": 1, "ratios": [rational_str(r) for r in ratios], "dimension": s}
     _emit(args, cfg, payload, [["dimension"], [s]])
     return 0

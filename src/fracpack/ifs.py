@@ -10,14 +10,14 @@ full enumeration.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Optional
+from typing import Optional
 
 from .numeric import (
+    EnclosureCapError,
     EnumerationCapError,
     LacunarySequence,
     SymbolicPoint,
@@ -284,59 +284,65 @@ def count_in_ball(sys: IFSSystem, n: int, ball: Ball,
     return BallCount(count, tuple(found) if witnesses else None)
 
 
-def _level_codes(sys: IFSSystem, n: int) -> tuple[list[int], int]:
-    """Encoded (P, Q) pairs for all 3**n words, one entry per word.
+def _level_keys(sys: IFSSystem, n: int, keep_q: bool = False):
+    """Exact integer keys of the points of levels 0..n.
 
-    Returns (codes, shift) where each code is (P << shift) | Q with P, Q
-    the projection numerators scaled by 4**n.  Subject to the enumeration
-    cap because the list has 3**n entries.
+    u_J = N / 4**L is lam.truncation(g) for the largest q-part g =
+    (4**n - 1)//3, so a length-n word at P + Q*u (scaled by 4**n) has
+    4**L * (P + Q*u) = V + theta with the integer V = P*4**L + Q*N and
+    0 <= theta < 1 (0 for rational u, exact, or Q = 0): the int order of
+    (V << shift) | Q is value order, and for exact u, V is the value.
+    Returns (L, N, exact, shift, levels); levels yields the keys of levels
+    0..n, level k adding the digit 0, 1 or u at weight 4**(n-k) to level
+    k-1.  A level-k word stands for its zero-padded length-n word, the
+    same point, so its level-k cell floor(4**k * x) is V >> 2*(L + n - k).
+    With keep_q and irrational u a level is the list of (V << 2n) | Q,
+    one per word; otherwise (shift 0) it is the set of distinct V, deduped
+    at every step, as prefixes with equal V stay equal on every extension,
+    except that level n (n > 0) comes as a one-pass iterator.
+    Raises EnclosureCapError when that truncation needs a term past the
+    materialization cap.
     """
     if n < 0:
         raise ValueError("depth must be >= 0")
     if n > sys.enumeration_cap:
         raise EnumerationCapError(
             f"level {n} exceeds enumeration cap {sys.enumeration_cap}")
-    shift = 2 * n + 2
-    codes = [0]
-    for k in range(1, n + 1):
-        c = 4 ** (n - k)
-        encP = c << shift
-        codes = [v + d for v in codes for d in (0, encP, c)]
-    return codes, shift
+    t = sys.lam.truncation((4 ** n - 1) // 3)
+    if t is None:
+        raise EnclosureCapError(
+            f"level {n} needs a truncation of u past the materialization cap")
+    L, N, exact = t
+    packed = keep_q and not exact
+    shift = 2 * n if packed else 0
+    one, u = 1 << 2 * L + shift, (N << shift) | packed
 
+    def levels():
+        keys = [0] if packed else {0}
+        yield keys
+        for k in range(1, n + 1):
+            w = 4 ** (n - k)
+            digits = (0, one * w, u * w)
+            if packed:
+                keys = [v + d for v in keys for d in digits]
+            elif k < n:
+                keys = {v + d for v in keys for d in digits}
+            else:
+                # Read once by every caller: no set is built for level n.
+                keys = (v + d for v in keys for d in digits)
+            yield keys
 
-def _level_points(sys: IFSSystem, n: int,
-                  ordered: bool = True) -> tuple[Collection[int], int]:
-    """Codes (as _level_codes) of the distinct level-n points, and the shift.
-
-    The codes come in increasing value order unless ordered is False.
-    Rational u = num/den dedupes and orders on the exact value
-    P*den + Q*num.  For irrational u, 1 and u are rationally independent,
-    so equal points have equal codes; code order is (P, Q) lex order,
-    which is value order below the grid, and past it sign tests order.
-    """
-    codes, shift = _level_codes(sys, n)
-    lam = sys.lam
-    mask = (1 << shift) - 1
-    if lam.u_is_rational:
-        num, den = lam.u_ratio()
-        by_value = {(c >> shift) * den + (c & mask) * num: c for c in codes}
-        return [by_value[v] for v in (sorted(by_value) if ordered else by_value)], shift
-    points = set(codes)
-    if not ordered:
-        return points, shift
-    if lam.below_grid((4 ** n - 1) // 3):
-        return sorted(points), shift
-    return sorted(points, key=functools.cmp_to_key(
-        lambda a, b: affine_sign_scaled((a >> shift) - (b >> shift),
-                                        (a & mask) - (b & mask), lam))), shift
+    return L, N, exact, shift, levels()
 
 
 def distinct_level_points(sys: IFSSystem, n: int) -> int:
     """Number of distinct projections among all 3**n length-n words.
 
-    Enumerates the level and dedupes it by exact equality (_level_points,
-    unordered).  Irrational-mode counts are always exactly 3**n because
-    the digit supports of p and q recover the word.
+    Enumerates the level's exact keys (_level_keys with the q-part kept)
+    and dedupes them in a set.  Irrational-mode counts are always exactly
+    3**n because the digit supports of p and q recover the word.
     """
-    return len(_level_points(sys, n, ordered=False)[0])
+    *_, levels = _level_keys(sys, n, keep_q=True)
+    for keys in levels:
+        pass
+    return len(set(keys))

@@ -14,14 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .numeric import (
-    EnclosureCapError,
     EnumerationCapError,
     LacunarySequence,
     SymbolicPoint,
-    _u_enclosure_info,
     affine_sign_scaled,
     rational_str,
     sym_compare,
@@ -31,8 +28,7 @@ from .ifs import (
     IFSSystem,
     S_DIM,
     _lex_rank,
-    _level_codes,
-    _level_points,
+    _level_keys,
     _prefix_walk,
     count_in_ball,
     project,
@@ -265,29 +261,44 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
                                 delta: Fraction) -> PackingEstimate:
     """Greedy packing count among distinct level-n points.
 
-    Sweeps the distinct points of _level_points in increasing value
-    order and accepts a point whenever its distance to the last accepted
-    point exceeds delta (for a sorted sweep that distance is minimal over
-    all accepted points), decided by one exact sign test for every kind
-    of u.  The accepted centers support disjoint closed balls of radius
-    delta/2, so accepted * delta**s estimates the packing pre-measure sum
-    at gauge delta.
+    Sweeps the exact keys of _level_keys in increasing value order and
+    accepts a point whenever its distance to the last accepted point
+    exceeds delta (for a sorted sweep that distance is minimal over all
+    accepted points).  The accepted centers support disjoint closed balls
+    of radius delta/2, so accepted * delta**s estimates the packing
+    pre-measure sum at gauge delta.
+
+    With delta * 4**n = dnum/dden, the distance exceeds delta exactly
+    when X + (theta - theta_last) * dden > 0, where X = dV*dden -
+    dnum*4**L is an integer and |theta - theta_last| < 1 (0 for rational
+    u).  So X >= dden accepts and X <= -dden rejects; only irrational u
+    with |X| < dden needs an affine_sign_scaled test.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    points, shift = _level_points(sys, n)
+    L, N, exact, shift, levels = _level_keys(sys, n, keep_q=True)
+    for keys in levels:
+        pass
     mask = (1 << shift) - 1
     dnum, dden = (delta * 4 ** n).as_integer_ratio()
+    gap = dnum << 2 * L
+    sure = 1 if exact else dden
     accepted = 0
-    prev: Optional[int] = None
-    for c in points:
-        # Distance (P - prevP + (Q - prevQ)*u) / 4**n > delta, exactly.
-        if prev is None or affine_sign_scaled(
-                ((c >> shift) - (prev >> shift)) * dden - dnum,
-                ((c & mask) - (prev & mask)) * dden, sys.lam) > 0:
-            accepted += 1
-            prev = c
+    last = None
+    for c in sorted(keys):
+        if last is not None:
+            dV = (c >> shift) - (last >> shift)
+            X = dV * dden - gap
+            if X < sure:
+                if exact or X <= -dden:
+                    continue
+                dQ = (c & mask) - (last & mask)
+                dP = (dV - dQ * N) >> 2 * L
+                if affine_sign_scaled(dP * dden - dnum, dQ * dden, sys.lam) <= 0:
+                    continue
+        accepted += 1
+        last = c
     return PackingEstimate(n=n, delta=delta, accepted=accepted)
 
 
@@ -323,59 +334,18 @@ class BoxCountProfile:
         return rows
 
 
-def _floor_scaled(P: int, Q: int, lam: LacunarySequence) -> int:
-    """Exact floor of P + Q*u for integers P >= 0, Q >= 1."""
-    if Q < 1 or P < 0:
-        raise ValueError("expected nonnegative P and positive Q")
-    if lam.u_is_rational:
-        num, den = lam.u_ratio()
-        return P + (Q * num) // den
-    # Jump to a truncation depth whose tail is already below 1/Q, then
-    # refine until both enclosure ends share a floor; Q*u is irrational,
-    # so the loop terminates (or hits the materialization cap and raises).
-    bits_needed = Q.bit_length() + 2
-    J = 1
-    while True:
-        nxt = lam.term_or_none(J + 1)
-        if nxt is None or 2 * nxt >= bits_needed:
-            break
-        J += 1
-    while True:
-        enc, exact, capped = _u_enclosure_info(lam, J)
-        t_lo = (Q * enc.lo.numerator) // enc.lo.denominator
-        t_hi = (Q * enc.hi.numerator) // enc.hi.denominator
-        if t_lo == t_hi:
-            return P + t_lo
-        if exact or capped:
-            raise EnclosureCapError("floor undecidable within materialization cap")
-        J += 1
-
-
 def box_counting_profile(sys: IFSSystem, n_max: int) -> BoxCountProfile:
     """Occupied half-open grid cells [m * 4**(-n), (m+1) * 4**(-n)) per level.
 
-    A level-n point with scaled coordinates (P, Q) lies in cell
-    floor(P + Q*u), computed exactly: grid-aligned values (Q = 0, or
-    rational u landing on an integer) sit in the cell they start.
+    A level-n point lies in cell floor(P + Q*u), read exactly off its
+    _level_keys key V as V >> 2*(L + n_max - n): grid-aligned values
+    (Q = 0, or rational u landing on an integer) sit in the cell they
+    start.  The keys of one level are built from those of the level
+    before, deduplicated at every step.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > sys.enumeration_cap:
-        # Fail before grinding through the feasible lower levels.
-        raise EnumerationCapError(
-            f"level {n_max} exceeds enumeration cap {sys.enumeration_cap}")
-    lam = sys.lam
-    rows = []
-    for n in range(1, n_max + 1):
-        codes, shift = _level_codes(sys, n)
-        if lam.below_grid((4 ** n - 1) // 3):
-            # Every q-part, at most that of the all-u word, stays below
-            # one cell: floor is P.
-            cells = len({c >> shift for c in codes})
-        else:
-            mask = (1 << shift) - 1
-            cells = len({c >> shift if c & mask == 0
-                         else _floor_scaled(c >> shift, c & mask, lam)
-                         for c in codes})
-        rows.append(BoxCountRow(n=n, cells=cells))
-    return BoxCountProfile(lam.descriptor(), tuple(rows))
+    L, _, _, _, levels = _level_keys(sys, n_max)
+    rows = tuple(BoxCountRow(n, len({v >> 2 * (L + n_max - n) for v in keys}))
+                 for n, keys in enumerate(levels) if n)
+    return BoxCountProfile(sys.lam.descriptor(), rows)

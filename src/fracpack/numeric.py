@@ -132,6 +132,7 @@ class LacunarySequence:
         self._enclosures: dict[int, tuple["IntervalEnclosure", bool, bool]] = {}
         self._u_ratio: Optional[tuple[int, int]] = None
         self._coarse: Optional[tuple[int, int, int]] = None
+        self._truncations: list[tuple[int, int]] = [(0, 0)]
         if kind == "explicit":
             self._validate_explicit()
 
@@ -259,18 +260,44 @@ class LacunarySequence:
                 self._coarse = (0, 4, 3 * 4 ** self.materialize_cap)
         return self._coarse
 
+    def truncation(self, q: int) -> Optional[tuple[int, int, bool]]:
+        """(L, N, exact): u truncated after J terms is N / 4**L, L = lam_J.
+
+        Rational u keeps every term (exact).  Irrational u takes the
+        smallest J with 4*q*4**L <= 3*4**lam_{J+1}; since u - u_J < (4/3) *
+        4**-lam_{J+1}, every P + Q*u with 0 <= Q <= q then has 4**L *
+        (P + Q*u) = V + theta with the integer V = P*4**L + Q*N and 0 <=
+        theta < 1, zero only at Q = 0: value order is (V, Q) order and
+        floor(P + Q*u) = V >> 2L.  None when that J has L past the cap.
+        """
+        cap = self.materialize_cap
+        J = len(self._terms) if self.u_is_rational else 0
+        while True:
+            while len(self._truncations) <= J:
+                L, N = self._truncations[-1]
+                t = self.term(len(self._truncations))
+                if t > cap:
+                    return None
+                self._truncations.append((t, (N << 2 * (t - L)) | 1))
+            L, N = self._truncations[J]
+            if self.u_is_rational:
+                return L, N, True
+            # 4*q <= 3 * 4**m; past m = q.bit_length() it holds anyway.
+            m = min(self.term(J + 1) - L, q.bit_length())
+            if 4 * q <= 3 << 2 * m:
+                return L, N, False
+            J += 1
+
     def below_grid(self, q: int) -> bool:
-        """True when u is irrational and q*u < 1 is certified.
+        """True when truncation(q) keeps no term (J = 0): u irrational, q*u < 1.
 
         A q-part of at most q then moves a point scaled by 4**n by less
         than one level-n grid cell, so for integers A and |B| <= q the
         sign of A + B*u is the sign of A, or of B when A == 0: value
         order is lexicographic (P, Q) order and floor(P + Q*u) is P.
         """
-        if self.u_is_rational:
-            return False
-        _, hi_n, K = self.coarse_u_scale()
-        return q * hi_n <= K
+        t = self.truncation(q)
+        return t is not None and t[0] == 0
 
     def descriptor(self) -> str:
         if self.kind == "paper":

@@ -42,7 +42,7 @@ def exact_value(point, lam) -> Fraction:
 
 @contextlib.contextmanager
 def walker_only():
-    """Close the below-grid gate: counts take the prefix-tree walk, level
-    points the sign-test order and box counts the enclosure floor."""
+    """Close the below-grid gate, so ball and cylinder counts take the
+    prefix-tree walk instead of the rank path."""
     with mock.patch.object(LacunarySequence, "below_grid", return_value=False):
         yield

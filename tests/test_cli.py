@@ -29,6 +29,30 @@ class TestDimension:
         code, _, err = run(capsys, "dimension", "--ratios", "1.5")
         assert code == 2 and "out of (0,1)" in err
 
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_config_format_csv(self, source, capsys, tmp_path, monkeypatch):
+        argv = ["dimension", "--ratios", "1/4,1/4,1/4"]
+        if source == "config":
+            (tmp_path / "run.cfg").write_text("format = csv\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        else:
+            monkeypatch.setenv("FRACPACK_FORMAT", "csv")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == "dimension\n0.792481250360578\n"
+
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_config_out_dir(self, source, capsys, tmp_path, monkeypatch):
+        argv = ["dimension", "--ratios", "1/4,1/4,1/4"]
+        if source == "config":
+            (tmp_path / "run.cfg").write_text(f"out_dir = {tmp_path}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        else:
+            monkeypatch.setenv("FRACPACK_OUT_DIR", str(tmp_path))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == ""
+        payload = json.loads((tmp_path / "dimension.json").read_text())
+        assert payload["dimension"] == 0.792481250360578
+
     def test_json_format_opt_in(self, capsys):
         code, out, _ = run(capsys, "dimension", "--ratios", "1/4,1/4,1/4",
                            "--format", "json")
@@ -167,6 +191,15 @@ class TestMeasurePackBoxcount:
     def test_boxcount_cap_exit_3(self, capsys):
         code, _, err = run(capsys, "boxcount", "--lambda", "paper", "--n-max", "16")
         assert code == 3 and "cap" in err
+
+    @pytest.mark.parametrize("argv", [("pack", "--n", "8", "--delta", "1/8192"),
+                                      ("boxcount", "--n-max", "8")], ids=lambda a: a[0])
+    def test_truncation_past_materialize_cap_exit_3(self, argv, capsys, monkeypatch):
+        # Level 8 needs u truncated at lam_2 = 9, past the cap of 5.
+        monkeypatch.setenv("FRACPACK_MATERIALIZE_CAP", "5")
+        code, out, err = run(capsys, *argv, "--lambda", "geometric:b=3,start=3")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_verify_toy_table(self, capsys):
         code, out, _ = run(capsys, "verify", "--lambda", "explicit:2,6,14,30,62",

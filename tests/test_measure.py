@@ -26,6 +26,7 @@ from fracpack import (
     recommended_word_length,
     sym_compare,
 )
+from fracpack.numeric import _u_enclosure_info, affine_sign_scaled
 from conftest import exact_value, walker_only
 
 ZERO = SymbolicPoint(F(0), F(0))
@@ -49,6 +50,41 @@ def brute_cylinders(lam, n, lo: F, hi: F) -> tuple[int, int]:
             intersecting += 1
             contained += lo <= x and x + width <= hi
     return contained, intersecting
+
+
+def level_pairs(n):
+    """Scaled (P, Q) of every length-n word."""
+    return [(int(x.p * 4 ** n), int(x.q * 4 ** n))
+            for x in (project("".join(t)) for t in itertools.product("01u", repeat=n))]
+
+
+def sign_test_oracle(lam, n, delta):
+    """Greedy pack count at level n and cells at levels 1..n, irrational u.
+
+    Sorts points by affine_sign_scaled comparisons, accepts by one sign
+    test per step, and floors P + Q*u by refining enclosures of u until
+    both ends share a floor.
+    """
+    def floor(P, Q):
+        J = 1
+        while Q:
+            enc = _u_enclosure_info(lam, J)[0]
+            lo, hi = (Q * e.numerator // e.denominator for e in (enc.lo, enc.hi))
+            if lo == hi:
+                return P + lo
+            J += 1
+        return P
+
+    pts = sorted(level_pairs(n), key=functools.cmp_to_key(
+        lambda a, b: affine_sign_scaled(a[0] - b[0], a[1] - b[1], lam)))
+    dnum, dden = (delta * 4 ** n).as_integer_ratio()
+    accepted, last = 0, None
+    for P, Q in pts:
+        if last is None or affine_sign_scaled(
+                (P - last[0]) * dden - dnum, (Q - last[1]) * dden, lam) > 0:
+            accepted, last = accepted + 1, (P, Q)
+    cells = [len({floor(P, Q) for P, Q in level_pairs(m)}) for m in range(1, n + 1)]
+    return accepted, cells
 
 
 class TestMeasureBounds:
@@ -248,23 +284,28 @@ class TestPacking:
                                                   (4, F(1, 100), 14),
                                                   (5, F(3, 1024), 39)])
     def test_irrational_comparator_branch(self, n, delta, expected):
-        # term_1 = 1 forces the enclosure-backed sort order.
+        # term_1 = 1 puts u past the grid: these keys truncate u after two terms.
         sys_g = IFSSystem(make_lacunary("geometric:b=3,start=1"))
         assert packing_premeasure_estimate(sys_g, n, delta).accepted == expected
 
-    @given(desc=st.sampled_from(["paper", "geometric:b=3,start=12"]),
-           n=st.integers(1, 7), num=st.integers(1, 64), k=st.integers(0, 8))
+    @given(desc=st.sampled_from(["paper", "geometric:b=3,start=1", "geometric:b=3,start=2",
+                                 "geometric:b=3,start=3", "geometric:b=3,start=12"]),
+           n=st.integers(1, 7), num=st.integers(1, 64), k=st.integers(0, 10))
+    @example(desc="geometric:b=3,start=3", n=7, num=1, k=6)   # J = 2, 75 fallback sign tests
+    @example(desc="geometric:b=3,start=1", n=7, num=1, k=6)   # J = 3, 147 fallback sign tests
+    @example(desc="geometric:b=3,start=1", n=4, num=5, k=8)   # J = 2, 3 fallback sign tests
+    @example(desc="geometric:b=3,start=2", n=6, num=5, k=8)   # J = 2, 4 fallback sign tests
+    @example(desc="geometric:b=3,start=1", n=2, num=1, k=4)   # J = 1, the gate's edge
+    @example(desc="paper", n=5, num=1, k=6)                   # ties on V = P
+    @example(desc="paper", n=2, num=1, k=2)                   # order within a tie
     @settings(max_examples=30, deadline=None)
-    def test_sign_order_matches_lex_order(self, desc, n, num, k):
-        # Closing the gate sorts by exact sign tests and floors each point
-        # by enclosures; below the grid both must agree with code order.
-        sys = IFSSystem(make_lacunary(desc))
+    def test_keys_match_sign_test_oracle(self, desc, n, num, k):
+        lam = make_lacunary(desc)
+        sys = IFSSystem(lam)
         delta = F(num, 4 ** k)
-        with walker_only():
-            packed = packing_premeasure_estimate(sys, n, delta)
-            boxed = box_counting_profile(sys, n)
-        assert packing_premeasure_estimate(sys, n, delta) == packed
-        assert box_counting_profile(sys, n) == boxed
+        accepted, cells = sign_test_oracle(lam, n, delta)
+        assert packing_premeasure_estimate(sys, n, delta).accepted == accepted
+        assert [r.cells for r in box_counting_profile(sys, n).rows] == cells
 
 
 class TestBoxCounting:
