@@ -21,7 +21,6 @@ from .numeric import (
     EnumerationCapError,
     LacunarySequence,
     SymbolicPoint,
-    affine_sign,
     affine_sign_scaled,
 )
 
@@ -125,11 +124,6 @@ class Ball:
         object.__setattr__(self, "radius", r)
         if r < 0:
             raise ValueError("radius must be nonnegative")
-
-    def contains(self, x: SymbolicPoint, lam: LacunarySequence) -> bool:
-        lo = affine_sign(x.p - (self.center.p - self.radius), x.q - self.center.q, lam)
-        hi = affine_sign(x.p - (self.center.p + self.radius), x.q - self.center.q, lam)
-        return lo >= 0 and hi <= 0
 
 
 @dataclass(frozen=True)
@@ -296,10 +290,11 @@ def _level_keys(sys: IFSSystem, n: int, keep_q: bool = False):
     0..n, level k adding the digit 0, 1 or u at weight 4**(n-k) to level
     k-1.  A level-k word stands for its zero-padded length-n word, the
     same point, so its level-k cell floor(4**k * x) is V >> 2*(L + n - k).
-    With keep_q and irrational u a level is the list of (V << 2n) | Q,
-    one per word; otherwise (shift 0) it is the set of distinct V, deduped
-    at every step, as prefixes with equal V stay equal on every extension,
-    except that level n (n > 0) comes as a one-pass iterator.
+    With keep_q a level is a sorted list, which list.sort merges from the
+    three sorted runs that shift level k-1: (V << 2n) | Q, one per word,
+    for irrational u, or V (shift 0) deduped on every level but the last.
+    Otherwise (shift 0) it is the set of distinct V, as equal-V prefixes
+    stay equal on every extension; level n (n > 0) is a one-pass iterator.
     Raises EnclosureCapError when that truncation needs a term past the
     materialization cap.
     """
@@ -313,18 +308,20 @@ def _level_keys(sys: IFSSystem, n: int, keep_q: bool = False):
         raise EnclosureCapError(
             f"level {n} needs a truncation of u past the materialization cap")
     L, N, exact = t
-    packed = keep_q and not exact
-    shift = 2 * n if packed else 0
-    one, u = 1 << 2 * L + shift, (N << shift) | packed
+    shift = 2 * n if keep_q and not exact else 0
+    one, u = 1 << 2 * L + shift, (N << shift) | (shift > 0)
 
     def levels():
-        keys = [0] if packed else {0}
+        keys = [0] if keep_q else {0}
         yield keys
         for k in range(1, n + 1):
             w = 4 ** (n - k)
             digits = (0, one * w, u * w)
-            if packed:
-                keys = [v + d for v in keys for d in digits]
+            if keep_q:
+                keys = keys + [v + d for d in digits[1:] for v in keys]
+                keys.sort()
+                if exact and k < n:
+                    keys[1:] = [b for a, b in zip(keys, keys[1:]) if a != b]
             elif k < n:
                 keys = {v + d for v in keys for d in digits}
             else:
@@ -338,8 +335,8 @@ def _level_keys(sys: IFSSystem, n: int, keep_q: bool = False):
 def distinct_level_points(sys: IFSSystem, n: int) -> int:
     """Number of distinct projections among all 3**n length-n words.
 
-    Enumerates the level's exact keys (_level_keys with the q-part kept)
-    and dedupes them in a set.  Irrational-mode counts are always exactly
+    Enumerates the level's sorted keys (_level_keys, q-part kept) and
+    dedupes them in a set.  Irrational-mode counts are always exactly
     3**n because the digit supports of p and q recover the word.
     """
     *_, levels = _level_keys(sys, n, keep_q=True)

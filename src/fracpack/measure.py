@@ -12,6 +12,7 @@ ratio M / (2*(C+1))**s against the enclosing ball of radius
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -261,18 +262,18 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
                                 delta: Fraction) -> PackingEstimate:
     """Greedy packing count among distinct level-n points.
 
-    Sweeps the exact keys of _level_keys in increasing value order and
-    accepts a point whenever its distance to the last accepted point
-    exceeds delta (for a sorted sweep that distance is minimal over all
-    accepted points).  The accepted centers support disjoint closed balls
-    of radius delta/2, so accepted * delta**s estimates the packing
+    Sweeps the sorted keys of _level_keys, accepting a point whenever its
+    distance to the last accepted one (minimal over all accepted points)
+    exceeds delta.  The accepted centers support disjoint closed balls of
+    radius delta/2, so accepted * delta**s estimates the packing
     pre-measure sum at gauge delta.
 
-    With delta * 4**n = dnum/dden, the distance exceeds delta exactly
-    when X + (theta - theta_last) * dden > 0, where X = dV*dden -
-    dnum*4**L is an integer and |theta - theta_last| < 1 (0 for rational
-    u).  So X >= dden accepts and X <= -dden rejects; only irrational u
-    with |X| < dden needs an affine_sign_scaled test.
+    With delta * 4**n = dnum/dden, that distance exceeds delta exactly
+    when X + dQ*4**L*(u - u_J)*dden > 0 for the integer X = dV*dden -
+    dnum*4**L and 0 < u - u_J < (4/3)*4**-lam_{J+1} (0 for rational u).
+    So X <= -dden rejects: each accepted key bisects past those keys.  X's
+    sign decides (dQ's if X == 0) unless X and dQ differ in sign and
+    3*|X|*4**m < 4*|dQ|*dden, m = lam_{J+1} - L: affine_sign_scaled does.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -283,22 +284,24 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
     mask = (1 << shift) - 1
     dnum, dden = (delta * 4 ** n).as_integer_ratio()
     gap = dnum << 2 * L
-    sure = 1 if exact else dden
-    accepted = 0
-    last = None
-    for c in sorted(keys):
-        if last is not None:
-            dV = (c >> shift) - (last >> shift)
-            X = dV * dden - gap
-            if X < sure:
-                if exact or X <= -dden:
-                    continue
-                dQ = (c & mask) - (last & mask)
-                dP = (dV - dQ * N) >> 2 * L
-                if affine_sign_scaled(dP * dden - dnum, dQ * dden, sys.lam) <= 0:
-                    continue
-        accepted += 1
-        last = c
+    step = gap // dden + exact  # first dV with X > 0 (exact u) or X > -dden
+    lam = sys.lam
+    if not exact:
+        # Either m gives 3 * 4**m >= 4*|dQ|, so X >= dden always decides.
+        m = min(lam.term(lam.window_index(L + 1) + 1) - L, shift + dden.bit_length())
+    accepted = i = 0
+    while i < len(keys):
+        accepted, last = accepted + 1, keys[i]
+        i = bisect_left(keys, ((last >> shift) + step) << shift, i + 1)
+        while not exact and i < len(keys):
+            dQ = (keys[i] & mask) - (last & mask)
+            X = ((keys[i] >> shift) - (last >> shift)) * dden - gap
+            if X * dQ < 0 and 3 * abs(X) << 2 * m < 4 * abs(dQ) * dden:
+                # X - dQ*N*dden = 4**L * (dP*dden - dnum); the sign is not 0.
+                X = affine_sign_scaled((X - dQ * N * dden) >> 2 * L, dQ * dden, lam)
+            if (X or dQ) > 0:
+                break
+            i += 1
     return PackingEstimate(n=n, delta=delta, accepted=accepted)
 
 

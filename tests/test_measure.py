@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -265,6 +266,10 @@ class TestPacking:
            n=st.integers(0, 5), num=st.integers(1, 64))
     @example(desc="explicit:1", n=4, num=1)
     @example(desc="explicit:1,3,7", n=3, num=1)
+    @example(desc="explicit:1", n=5, num=5)        # duplicate keys on the last level
+    @example(desc="explicit:2,6,14", n=3, num=1)   # dV*dden == gap: distance == delta, rejected
+    @example(desc="explicit:1,3,7", n=0, num=1)    # one point
+    @example(desc="explicit:1,3,7", n=5, num=64)   # delta above the whole span
     @settings(max_examples=60, deadline=None)
     def test_matches_exact_greedy_oracle(self, desc, n, num):
         # explicit:1 and explicit:1,3,7 make distinct words share a point.
@@ -291,13 +296,18 @@ class TestPacking:
     @given(desc=st.sampled_from(["paper", "geometric:b=3,start=1", "geometric:b=3,start=2",
                                  "geometric:b=3,start=3", "geometric:b=3,start=12"]),
            n=st.integers(1, 7), num=st.integers(1, 64), k=st.integers(0, 10))
-    @example(desc="geometric:b=3,start=3", n=7, num=1, k=6)   # J = 2, 75 fallback sign tests
-    @example(desc="geometric:b=3,start=1", n=7, num=1, k=6)   # J = 3, 147 fallback sign tests
-    @example(desc="geometric:b=3,start=1", n=4, num=5, k=8)   # J = 2, 3 fallback sign tests
-    @example(desc="geometric:b=3,start=2", n=6, num=5, k=8)   # J = 2, 4 fallback sign tests
+    @example(desc="geometric:b=3,start=3", n=7, num=1, k=6)   # J = 2, tie windows
+    @example(desc="geometric:b=3,start=1", n=7, num=1, k=6)   # J = 3, tie windows
+    @example(desc="geometric:b=3,start=1", n=4, num=5, k=8)   # J = 2, tie windows
+    @example(desc="geometric:b=3,start=2", n=6, num=5, k=8)   # J = 2, tie windows
     @example(desc="geometric:b=3,start=1", n=2, num=1, k=4)   # J = 1, the gate's edge
     @example(desc="paper", n=5, num=1, k=6)                   # ties on V = P
     @example(desc="paper", n=2, num=1, k=2)                   # order within a tie
+    @example(desc="paper", n=1, num=1, k=1)                   # distance == delta, rejected
+    @example(desc="paper", n=0, num=1, k=3)                   # one point
+    @example(desc="geometric:b=3,start=1", n=5, num=2, k=0)   # delta above the whole span
+    @example(desc="paper", n=7, num=1, k=8)                   # every key in a tie window
+    @example(desc="geometric:b=3,start=1", n=6, num=17, k=10)  # J = 2, 12 fallback sign tests
     @settings(max_examples=30, deadline=None)
     def test_keys_match_sign_test_oracle(self, desc, n, num, k):
         lam = make_lacunary(desc)
@@ -305,7 +315,17 @@ class TestPacking:
         delta = F(num, 4 ** k)
         accepted, cells = sign_test_oracle(lam, n, delta)
         assert packing_premeasure_estimate(sys, n, delta).accepted == accepted
-        assert [r.cells for r in box_counting_profile(sys, n).rows] == cells
+        if n:  # box counts start at level 1
+            assert [r.cells for r in box_counting_profile(sys, n).rows] == cells
+
+    @pytest.mark.parametrize("n,k,accepted", [(7, 8, 128), (10, 12, 1024)])
+    def test_tail_bound_settles_paper_ties(self, sys_paper, n, k, accepted):
+        # Every pair with equal V = P lands in |X| < dden here; the tail
+        # bound 4**-lam_1 decides all of them in integers.
+        with mock.patch("fracpack.measure.affine_sign_scaled",
+                        wraps=affine_sign_scaled) as sign:
+            est = packing_premeasure_estimate(sys_paper, n, F(1, 4 ** k))
+        assert (est.accepted, sign.call_count) == (accepted, 0)
 
 
 class TestBoxCounting:
