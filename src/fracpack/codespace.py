@@ -19,7 +19,10 @@ from typing import Optional
 from .numeric import LacunarySequence
 from .ifs import validate_word
 
-_SYMBOLS = "01u"
+# Top two bits of a 32-bit output: 0, 1 or u, rejected when 3 (exactly uniform).
+_TOP_BITS = bytes(b"01u"[v >> 6] if v < 192 else 0 for v in range(256))
+_REJECTED = bytes(range(192, 256))
+_U_BITS, _Z_BITS = str.maketrans("u01", "100"), str.maketrans("0u1", "100")
 
 
 def _derived_rng(seed, *parts) -> random.Random:
@@ -32,14 +35,6 @@ def _derived_rng(seed, *parts) -> random.Random:
     return random.Random(tag)
 
 
-def _draw_symbol(rng: random.Random) -> str:
-    # Two-bit rejection sampling: exact uniform over three symbols.
-    while True:
-        v = rng.getrandbits(2)
-        if v < 3:
-            return _SYMBOLS[v]
-
-
 class CodeSequence:
     """Lazily extended i.i.d.-uniform code word with reproducible prefixes.
 
@@ -50,19 +45,24 @@ class CodeSequence:
     def __init__(self, seed, length: int = 0):
         self.seed = seed
         self._rng = _derived_rng(seed)
-        self._word: list[str] = []
+        self.word = ""
         if length:
             self.extend_to(length)
 
-    @property
-    def word(self) -> str:
-        return "".join(self._word)
-
     def extend_to(self, length: int) -> str:
+        """The word, drawn on to the given length.
+
+        Byte 3 of each little-endian 32-bit word of getrandbits(32*need) is
+        an output's top byte, whose top two bits getrandbits(2) returns.  A
+        round draws at most one output per missing symbol, so the generator
+        yields and consumes the stream of one getrandbits(2) per try.
+        """
         if length < 0:
             raise ValueError("length must be >= 0")
-        while len(self._word) < length:
-            self._word.append(_draw_symbol(self._rng))
+        while len(self.word) < length:
+            need = min(length - len(self.word), 1 << 16)
+            raw = self._rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            self.word += raw[3::4].translate(_TOP_BITS, _REJECTED).decode()
         return self.word
 
 
@@ -121,37 +121,51 @@ def influence_count(word: str, j: int, lam: LacunarySequence) -> InfluenceSummar
     """All influence records for position j, in increasing i.
 
     Equal to collecting is_influenced(word, i, j, lam) for i = 1..j, but
-    the scan goes window by window (see _influence_records), so each
-    window's terms are read once rather than once per position.
+    each window is one AND of bitmasks (see _windows), not a probe of
+    every position.
     """
     w = validate_word(word)
     if not (1 <= j <= len(w)):
         raise ValueError(f"need 1 <= j <= len(word), got j={j}, len={len(w)}")
-    records = _influence_records(w, j, lam)
+    pats = _pattern_masks(w[:j], lam.terms_below(j))
+    records = []
+    for k, mask in _windows(j, lam):  # largest k first, so i increases
+        x = pats[k] & mask
+        while x:
+            low = x & -x
+            records.append(InfluenceRecord(low.bit_length(), k))
+            x ^= low
     return InfluenceSummary(len(records), tuple(records))
 
 
-def _influence_records(w: str, j: int, lam: LacunarySequence) -> list[InfluenceRecord]:
-    """influence_count's records for a validated word and 1 <= j <= len(w).
+def _pattern_masks(w: str, terms) -> list[int]:
+    """P_0, ..., P_K of a validated word, for terms = [lam_1, ..., lam_K].
 
-    The positions i with lam_k < j - i <= lam_{k+1} form one window, in
-    which every i probes the same offsets lam_1, ..., lam_k.  Windows run
-    from the largest k down, so i increases.  For a finite explicit list
-    the distances past its last term lie in no window and match nothing.
+    Bit i - 1 of P_k is set when the word shows u at position i and 0 at
+    i + lam_1, ..., i + lam_k: P_k = U & (Z >> lam_1) & ... & (Z >> lam_k).
+    """
+    r = w[::-1]
+    pats = [int("0" + r.translate(_U_BITS), 2)]
+    Z = int("0" + r.translate(_Z_BITS), 2)
+    for t in terms:
+        pats.append(pats[-1] & (Z >> t))
+    return pats
+
+
+def _windows(j: int, lam: LacunarySequence) -> list[tuple[int, int]]:
+    """(k, bitmask of window k) for position j, largest k first.
+
+    Window k holds the i with lam_k < j - i <= lam_{k+1} (lam_0 = 0), so
+    the set bits of P_k & mask are its influencing positions.  For a finite
+    explicit list the distances past its last term lie in no window.
     """
     terms = lam.terms_below(j)  # every lam_k <= j - 1, the largest distance
     top = len(terms)
     if lam.term_or_none(top + 1) is None:
         top -= 1
-    records = []
-    for k in range(top, -1, -1):
-        offsets = [t - 1 for t in terms[:k]]  # w[i - 1 + lam_m] is w[i + lam_m - 1]
-        far = terms[k] if k < len(terms) else j - 1  # largest distance in window k
-        near = terms[k - 1] if k else 0
-        for i in range(j - far, j - near):
-            if w[i - 1] == "u" and all(w[i + t] == "0" for t in offsets):
-                records.append(InfluenceRecord(i, k))
-    return records
+    edges = [0] + terms + [j - 1]
+    return [(k, (1 << j - 1 - edges[k]) - (1 << j - 1 - edges[k + 1]))
+            for k in range(top, -1, -1)]
 
 
 @dataclass(frozen=True)
@@ -227,7 +241,10 @@ def block_success_count(word: str, dec: BlockDecomposition,
     w = validate_word(word)
     if len(w) < dec.j - 1:
         raise ValueError(f"word length {len(w)} < j - 1 = {dec.j - 1}")
-    return sum(1 for i in dec.leaders if _shows_pattern(w, i, dec.k, lam))
+    pats = _pattern_masks(w[:dec.j], [lam.term(m) for m in range(1, dec.k + 1)])
+    # One bit per leader lo + t*base: a repunit in base 2**base.
+    leaders = ((1 << dec.base * dec.N) - 1) // ((1 << dec.base) - 1) << dec.lo - 1
+    return (pats[-1] & leaders).bit_count()
 
 
 def perturb(word: str, rec: InfluenceRecord, lam: LacunarySequence) -> str:

@@ -274,6 +274,7 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
     So X <= -dden rejects: each accepted key bisects past those keys.  X's
     sign decides (dQ's if X == 0) unless X and dQ differ in sign and
     3*|X|*4**m < 4*|dQ|*dden, m = lam_{J+1} - L: affine_sign_scaled does.
+    An X < 0 that decides for the largest |dQ| bisects past its V's block.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -289,13 +290,18 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
     if not exact:
         # Either m gives 3 * 4**m >= 4*|dQ|, so X >= dden always decides.
         m = min(lam.term(lam.window_index(L + 1) + 1) - L, shift + dden.bit_length())
+        reach = 4 * (mask // 3) * dden  # 4*|dQ|*dden at the largest |dQ|
     accepted = i = 0
     while i < len(keys):
-        accepted, last = accepted + 1, keys[i]
-        i = bisect_left(keys, ((last >> shift) + step) << shift, i + 1)
+        accepted, last_V, last_Q = accepted + 1, keys[i] >> shift, keys[i] & mask
+        i = bisect_left(keys, last_V + step << shift, i + 1)
         while not exact and i < len(keys):
-            dQ = (keys[i] & mask) - (last & mask)
-            X = ((keys[i] >> shift) - (last >> shift)) * dden - gap
+            key = keys[i]
+            X = ((key >> shift) - last_V) * dden - gap
+            if X < 0 and 3 * -X << 2 * m >= reach:
+                i = bisect_left(keys, (key >> shift) + 1 << shift, i + 1)
+                continue
+            dQ = (key & mask) - last_Q
             if X * dQ < 0 and 3 * abs(X) << 2 * m < 4 * abs(dQ) * dden:
                 # X - dQ*N*dden = 4**L * (dP*dden - dnum); the sign is not 0.
                 X = affine_sign_scaled((X - dQ * N * dden) >> 2 * L, dQ * dden, lam)

@@ -24,12 +24,12 @@ from typing import Optional
 
 from .numeric import CapError, LacunarySequence, rational_str
 from .codespace import (
-    _influence_records,
+    _pattern_masks,
+    _windows,
     block_decomposition,
     block_success_count,
     sample_sequence,
 )
-from .ifs import validate_word
 
 EXACT_BINOMIAL_LIMIT = 10**4
 LOG_DOMAIN_REL_TOL = 1e-9
@@ -327,7 +327,8 @@ def monte_carlo_growth(lam: LacunarySequence, checkpoints, trials: int,
 
     Each trial draws one uniform word of length max(checkpoints) from a
     deterministically derived per-trial generator, so reports are
-    reproducible and embarrassingly parallel in principle.
+    reproducible and embarrassingly parallel in principle.  A word longer
+    than lam.materialize_cap raises CapError: positions are exponents of 4.
     """
     cps = tuple(int(j) for j in checkpoints)
     if not cps or any(j < 1 for j in cps):
@@ -337,11 +338,15 @@ def monte_carlo_growth(lam: LacunarySequence, checkpoints, trials: int,
     if trials == 0:
         return GrowthReport(lam.descriptor(), seed, 0, cps, ())
     top = max(cps)
+    if top > lam.materialize_cap:
+        raise CapError(f"word length {top} exceeds materialize_cap = {lam.materialize_cap}")
+    terms = lam.terms_below(top)
+    windows = {j: _windows(j, lam) for j in cps}
     samples: dict[int, list[int]] = {j: [] for j in cps}
     for t in range(trials):
-        word = validate_word(sample_sequence(f"{seed}:{t}", top).word)
+        pats = _pattern_masks(sample_sequence(f"{seed}:{t}", top).word, terms)
         for j in cps:
-            samples[j].append(len(_influence_records(word, j, lam)))
+            samples[j].append(sum((pats[k] & mask).bit_count() for k, mask in windows[j]))
     stats = []
     for j in cps:
         xs = sorted(samples[j])
@@ -401,6 +406,8 @@ def empirical_X_law(lam: LacunarySequence, j: int, trials: int,
     dec = block_decomposition(j, lam)
     if dec.N < 1:
         raise ValueError(f"no blocks at j = {j}")
+    if j > lam.materialize_cap:
+        raise CapError(f"word length {j} exceeds materialize_cap = {lam.materialize_cap}")
     p = dec.success_probability
     hist: dict[int, int] = {}
     for t in range(trials):

@@ -46,3 +46,21 @@ def walker_only():
     prefix-tree walk instead of the rank path."""
     with mock.patch.object(LacunarySequence, "below_grid", return_value=False):
         yield
+
+
+def influence_scan_oracle(w: str, j: int, lam) -> list[tuple[int, int]]:
+    """(i, k) of every position influencing j, tested one position at a time.
+
+    The reference for the bitmask scan: i influences j through the window
+    k with lam_k < j - i <= lam_{k+1} when it shows u and i + lam_1, ...,
+    i + lam_k show 0; a distance past a finite list's last term has no
+    window.
+    """
+    out = []
+    for i in range(1, j):
+        k = len(lam.terms_below(j - i))
+        if lam.term_or_none(k + 1) is None:
+            continue
+        if w[i - 1] == "u" and all(w[i - 1 + lam.term(m)] == "0" for m in range(1, k + 1)):
+            out.append((i, k))
+    return out

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -142,6 +143,23 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--lambda", "explicit:2,6,14",
                            "--checkpoints", "2", "--trials", "2000000")
         assert code == 3 and "trials_cap" in err
+
+    def test_checkpoint_past_materialize_cap_exit_3(self, capsys, monkeypatch):
+        # Position j weighs 4**-j, so a sampled word obeys the exponent cap.
+        monkeypatch.setenv("FRACPACK_MATERIALIZE_CAP", "100")
+        argv = ("simulate", "--lambda", "paper", "--trials", "10", "--checkpoints")
+        code, out, err = run(capsys, *argv, "5,101")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, _ = run(capsys, *argv, "5,100")
+        assert code == 0 and json.loads(out)["checkpoints"] == [5, 100]
+
+    def test_huge_checkpoint_exits_3_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "simulate", "--lambda", "paper",
+                             "--checkpoints", "10000000")
+        assert code == 3 and out == "" and "materialize_cap" in err
+        assert time.perf_counter() - t0 < 1
 
 
 class TestDensity:

@@ -1,9 +1,10 @@
 """Tests for code-space combinatorics: influence, blocks, perturbations."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracpack import (
@@ -20,7 +21,27 @@ from fracpack import (
     project,
     sample_sequence,
 )
-from conftest import MASTER_SEED, exact_value
+from conftest import MASTER_SEED, exact_value, influence_scan_oracle
+
+# Infinite kinds with lam_1 = 27, 1 and 3, and two finite lists whose last
+# window ends the scan.
+ORACLE_LAMS = ["paper", "geometric:b=3,start=1", "geometric:b=3,start=3",
+               "explicit:2,6,14,30,62", "explicit:1"]
+
+
+def draw_symbol_oracle(rng: random.Random) -> str:
+    """One symbol by two-bit rejection: the reference for the bulk sampler."""
+    while True:
+        v = rng.getrandbits(2)
+        if v < 3:
+            return "01u"[v]
+
+
+def leader_oracle(w: str, dec, lam) -> int:
+    """Block leaders showing (u, 0, ..., 0), tested one leader at a time."""
+    return sum(1 for i in dec.leaders
+               if w[i - 1] == "u"
+               and all(w[i - 1 + lam.term(m)] == "0" for m in range(1, dec.k + 1)))
 
 
 class TestCodeSequence:
@@ -52,6 +73,20 @@ class TestCodeSequence:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             CodeSequence(MASTER_SEED).extend_to(-1)
+
+    @given(seed=st.integers(0, 10**6), steps=st.lists(st.integers(0, 300), max_size=4))
+    @example(seed="rej:117", steps=[1, 2, 6])  # the first four outputs are rejected
+    @example(seed=MASTER_SEED, steps=[0])      # empty word
+    @example(seed=MASTER_SEED, steps=[40, 7, 41])  # shorter request, then one more symbol
+    @example(seed=1, steps=[(1 << 16) + 3])    # more than one bulk round
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_draw_matches_symbol_loop(self, seed, steps):
+        seq, rng, word = CodeSequence(seed), random.Random(str(seed)), ""
+        for length in steps:
+            while len(word) < length:
+                word += draw_symbol_oracle(rng)
+            assert seq.extend_to(length) == seq.word == word
+            assert seq._rng.getstate() == rng.getstate()
 
 
 class TestInfluence:
@@ -112,6 +147,49 @@ class TestInfluence:
             assert probes[0] == rec.i and probes[-1] < j
             assert w[rec.i - 1] == "u"
             assert all(w[p - 1] == "0" for p in probes[1:])
+
+
+class TestBitmaskScans:
+    @given(lam=st.sampled_from(ORACLE_LAMS), w=st.text(alphabet="01u", max_size=150),
+           j=st.integers(1, 150))
+    @example(lam="paper", w="u" + "0" * 27, j=28)   # j - i == lam_1: window 0
+    @example(lam="paper", w="u" + "0" * 28, j=29)   # j - i == lam_1 + 1: window 1
+    @example(lam="geometric:b=3,start=1", w="u0u0000000", j=10)  # j - i == lam_3
+    @example(lam="explicit:2,6,14,30,62", w="u" + "0" * 62, j=63)  # last window's edge
+    @example(lam="explicit:2,6,14,30,62", w="u" + "0" * 63, j=64)  # past the last term
+    @example(lam="explicit:1", w="uuu", j=3)        # only distance 1 has a window
+    @example(lam="paper", w="u0", j=1)
+    @example(lam="geometric:b=3,start=3", w="u1u0u", j=5)  # j == len(word)
+    @example(lam="paper", w="10" * 20, j=40)        # no u
+    @example(lam="paper", w="", j=1)                # empty word
+    @settings(max_examples=200, deadline=None)
+    def test_influence_matches_per_position_scan(self, lam, w, j):
+        seq = make_lacunary(lam)
+        if not w:
+            with pytest.raises(ValueError):
+                influence_count(w, j, seq)
+            return
+        j = (j - 1) % len(w) + 1
+        got = [(r.i, r.k) for r in influence_count(w, j, seq).records]
+        assert got == influence_scan_oracle(w, j, seq)
+
+    @given(lam=st.sampled_from(ORACLE_LAMS[:4]), j=st.integers(1, 200),
+           w=st.text(alphabet="01u", min_size=202, max_size=202), extra=st.integers(0, 2))
+    @example(lam="geometric:b=3,start=1", j=1, w="", extra=0)  # empty word, no blocks
+    @example(lam="paper", j=27, w="u" * 26, extra=0)           # all 13 leaders succeed
+    @example(lam="paper", j=60, w=("u" + "0" * 27) * 3, extra=0)  # leader 57 succeeds
+    @example(lam="explicit:2,6,14,30,62", j=61, w="0" * 30 + "u" + "0" * 30,
+             extra=0)                                         # k = 3, leader 31 succeeds
+    @example(lam="geometric:b=3,start=3", j=30, w="1" * 29, extra=0)  # no u
+    @settings(max_examples=150, deadline=None)
+    def test_block_successes_match_leader_loop(self, lam, j, w, extra):
+        seq = make_lacunary(lam)
+        lam1 = seq.term(1)
+        hi = 200 if seq.length is None else seq.term(seq.length) - 1
+        j = lam1 + (j - lam1) % (hi - lam1 + 1)  # lam_1 <= j, below a finite list's end
+        dec = block_decomposition(j, seq)
+        w = w[:j - 1 + extra]
+        assert block_success_count(w, dec, seq) == leader_oracle(w, dec, seq)
 
 
 class TestBlocks:

@@ -27,6 +27,7 @@ from fracpack import (
     recommended_word_length,
     sym_compare,
 )
+from fracpack import measure
 from fracpack.numeric import _u_enclosure_info, affine_sign_scaled
 from conftest import exact_value, walker_only
 
@@ -326,6 +327,28 @@ class TestPacking:
                         wraps=affine_sign_scaled) as sign:
             est = packing_premeasure_estimate(sys_paper, n, F(1, 4 ** k))
         assert (est.accepted, sign.call_count) == (accepted, 0)
+
+    def test_rejected_equal_v_blocks_skipped(self, sys_paper, monkeypatch):
+        # At delta = 4**-9 the tail bound rejects the rest of every V = P
+        # block at once: one bisect per accepted key and one per block,
+        # where a key-by-key scan reads each of the 6561 keys two or three
+        # times.
+        reads = []
+
+        class CountingList(list):
+            def __getitem__(self, i):
+                reads.append(i)
+                return super().__getitem__(i)
+
+        def counted(*args, real=measure._level_keys, **kwargs):
+            L, N, exact, shift, levels = real(*args, **kwargs)
+            *_, keys = levels
+            return L, N, exact, shift, iter([CountingList(keys)])
+
+        monkeypatch.setattr("fracpack.measure._level_keys", counted)
+        est = packing_premeasure_estimate(sys_paper, 8, F(1, 4 ** 9))
+        assert est.accepted == 256
+        assert len(reads) <= 2 * 256 * (3 ** 8).bit_length()
 
 
 class TestBoxCounting:

@@ -17,10 +17,11 @@ from fracpack import (
     make_lacunary,
     monte_carlo_growth,
     parse_rational,
+    sample_sequence,
     tail_report,
 )
 from fracpack.stats import EXACT_BINOMIAL_LIMIT, LOG_DOMAIN_REL_TOL, empirical_quantile
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, influence_scan_oracle
 
 probs = st.builds(F, st.integers(0, 8), st.integers(8, 9))
 
@@ -212,6 +213,24 @@ class TestGrowthSimulation:
             assert s.min <= s.p10 <= s.p25 <= s.p50 <= s.p75 <= s.p90 <= s.max
             assert s.min <= s.mean <= s.max
 
+    @pytest.mark.parametrize("lam", ["paper", "geometric:b=3,start=1", "geometric:b=3,start=3",
+                                     "explicit:2,6,14,30,62", "explicit:1"])
+    def test_counts_match_per_position_scan(self, lam):
+        seq = make_lacunary(lam)
+        rep = monte_carlo_growth(seq, (1, 9, 28, 70), 40, MASTER_SEED)
+        words = [sample_sequence(f"{MASTER_SEED}:{t}", 70).word for t in range(40)]
+        for s in rep.stats:
+            xs = sorted(len(influence_scan_oracle(w, s.j, seq)) for w in words)
+            assert (s.min, s.p25, s.p50, s.p90, s.max, s.mean) == (
+                xs[0], empirical_quantile(xs, 0.25), empirical_quantile(xs, 0.5),
+                empirical_quantile(xs, 0.9), xs[-1], sum(xs) / len(xs))
+
+    def test_word_past_materialize_cap(self):
+        lam = make_lacunary("geometric:b=3,start=1", materialize_cap=50)
+        with pytest.raises(CapError, match="materialize_cap"):
+            monte_carlo_growth(lam, (5, 51), 10, MASTER_SEED)
+        assert monte_carlo_growth(lam, (5, 50), 10, MASTER_SEED).checkpoints == (5, 50)
+
     def test_zero_trials_gives_empty_report(self, lam_toy):
         rep = monte_carlo_growth(lam_toy, (2, 6), 0, MASTER_SEED)
         assert rep.trials == 0 and rep.stats == ()
@@ -249,6 +268,12 @@ class TestXLaw:
         values = [r[0] for r in rows[1:]]
         assert values == sorted(values)
         assert sum(r[1] for r in rows[1:]) == 500
+
+    def test_word_past_materialize_cap(self):
+        lam = make_lacunary("geometric:b=3,start=1", materialize_cap=50)
+        with pytest.raises(CapError, match="materialize_cap"):
+            empirical_X_law(lam, 51, 10, MASTER_SEED)
+        assert empirical_X_law(lam, 50, 10, MASTER_SEED).trials == 10
 
     def test_validation(self, lam_toy):
         with pytest.raises(ValueError):
