@@ -15,11 +15,9 @@ from .numeric import (
     IntervalEnclosure,
     LacunarySequence,
     SymbolicPoint,
-    affine_sign,
     make_lacunary,
     parse_rational,
     rational_str,
-    sym_compare,
 )
 from .ifs import (
     ALPHABET,

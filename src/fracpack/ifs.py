@@ -232,50 +232,82 @@ def _prefix_word(n: int, m: int, P: int, Q: int) -> str:
     return "".join(out)
 
 
+def count_span(sys: IFSSystem, n: int, lo: tuple[Fraction, Fraction],
+               hi: tuple[Fraction, Fraction], width: int,
+               accepted: Optional[list[str]] = None) -> tuple[int, int]:
+    """(inside, meeting): length-n words whose span lies inside, or meets, [lo, hi].
+
+    The ends are (p, q) pairs standing for p + q*u.  A word at x spans
+    [x, x + width*4**-n]: width 0 is a point (a ball count), width 1 its
+    level-n cylinder.  Scaled by 4**n, the descendants of a depth-m
+    prefix at P + Q*u lie in [P + Q*u, P + g + width + (Q + g)*u] with
+    g = (4**(n-m) - 1)//3, the walk's hull.  This is the one place that
+    chooses between the O(n) rank and the prefix walk.
+
+    When lam.below_grid(max(g*den at the root, q-parts of the ends)) and
+    no list is asked for, value order is lexicographic (P, Q) order, so a
+    span at v lies inside exactly when lo <= v <= hi - width and meets
+    exactly when lo - width <= v <= hi: differences of _lex_rank values.
+    Otherwise the walk decides, in time proportional to its surviving
+    nodes.  A list accepted receives the prefix of every inside node, in
+    0, 1, u order, and EnumerationCapError stops it before those
+    prefixes stand for more than 3**enumeration_cap words.
+    """
+    lam = sys.lam
+    scale = 4 ** n
+    ends = [x * scale for x in (*lo, *hi)]
+    den = math.lcm(*(x.denominator for x in ends))
+    LP, LQ, HP, HQ = (x.numerator * (den // x.denominator) for x in ends)
+    if affine_sign_scaled(HP - LP, HQ - LQ, lam) < 0:
+        raise ValueError("interval endpoints out of order")
+    if accepted is None and lam.below_grid(max((scale - 1) // 3 * den, LQ, HQ)):
+        shift = width * den
+        inside = max(0, _lex_rank(n, den, HP - shift, HQ, False)
+                     - _lex_rank(n, den, LP, LQ, True))
+        if not width:  # a point meets the interval exactly when it lies inside
+            return inside, inside
+        return inside, (_lex_rank(n, den, HP, HQ, False)
+                         - _lex_rank(n, den, LP - shift, LQ, True))
+    hulls = [(g + width, g) for g in ((4 ** (n - m) - 1) // 3 for m in range(n + 1))]
+    cap = 3 ** sys.enumeration_cap
+    inside = meeting = 0
+    for m, P, Q, whole in _prefix_walk(n, (LP, LQ), (HP, HQ), den, hulls, lam):
+        meeting += 3 ** (n - m)  # a leaf crossing an end has m == n
+        if whole:
+            inside += 3 ** (n - m)
+            if accepted is not None:
+                if inside > cap:
+                    raise EnumerationCapError(
+                        f"witness list passes 3**{sys.enumeration_cap} words "
+                        f"(enumeration cap {sys.enumeration_cap})")
+                accepted.append(_prefix_word(n, m, P, Q))
+    return inside, meeting
+
+
 def count_in_ball(sys: IFSSystem, n: int, ball: Ball,
                   witnesses: bool = False) -> BallCount:
     """Exact number of length-n words whose projection lies in the ball.
 
-    Runs the shared prefix-tree walk with the ball as target.  Every
-    completion of a depth-m node adds between 0 and g = (4**(n-m) - 1)/3
-    to each scaled coordinate, so its span is [v, v + g*(1 + u)]; a leaf
-    span is a single point and is either missed or inside.  Each inside
-    node contributes all 3**(n-m) of its words, so the count matches
-    unpruned enumeration.  With witnesses, those words are listed in
-    lexicographic 0, 1, u order.
-
-    When u lies below the level-n grid for every q-difference involved
-    (lam.below_grid(max(g*den, q-parts of the ends)), irrational u only),
-    value order is lexicographic (P, Q) order and the count is
-    _lex_rank(<= hi) - _lex_rank(< lo): O(n) digit steps, exact, for
-    every depth up to about lam_1 (n = 27 under the paper sequence).
-    Witness lists and all other inputs take the walk, whose running time
-    is proportional to the number of surviving nodes, not 3**n; there,
-    centers that align with the attractor's finest structure (e.g. 0
-    itself) can make the count genuinely exponential.
+    count_span at width 0: a level-n point is a span of width 0, so the
+    rank path covers every depth up to about lam_1 (n = 27 under the
+    paper sequence) in O(n) digit steps.  With witnesses, the accepted
+    words are listed in lexicographic 0, 1, u order; they take the walk,
+    whose running time is proportional to the number of surviving nodes,
+    not 3**n, and a list past 3**enumeration_cap words raises
+    EnumerationCapError.  On the walk, centers that align with the
+    attractor's finest structure (e.g. 0 itself) can make the count
+    genuinely exponential.
     """
     if n < 0:
         raise ValueError("depth must be >= 0")
-    scale = 4 ** n
-    c_lo = (ball.center.p - ball.radius) * scale
-    c_hi = (ball.center.p + ball.radius) * scale
-    c_q = ball.center.q * scale
-    den = math.lcm(c_lo.denominator, c_hi.denominator, c_q.denominator)
-    CQ = int(c_q * den)
-    LP, HP = int(c_lo * den), int(c_hi * den)
-    if not witnesses and sys.lam.below_grid(max((scale - 1) // 3 * den, CQ)):
-        return BallCount(_lex_rank(n, den, HP, CQ, False)
-                         - _lex_rank(n, den, LP, CQ, True))
-    hulls = [((4 ** (n - m) - 1) // 3,) * 2 for m in range(n + 1)]
-    count = 0
-    found: list[str] = []
-    for m, P, Q, _ in _prefix_walk(n, (LP, CQ), (HP, CQ), den, hulls, sys.lam):
-        count += 3 ** (n - m)
-        if witnesses:
-            head = _prefix_word(n, m, P, Q)
-            found.extend(head + "".join(tail)
-                         for tail in itertools.product(ALPHABET, repeat=n - m))
-    return BallCount(count, tuple(found) if witnesses else None)
+    c, r = ball.center, ball.radius
+    heads: Optional[list[str]] = [] if witnesses else None
+    count, _ = count_span(sys, n, (c.p - r, c.q), (c.p + r, c.q), 0, heads)
+    if heads is None:
+        return BallCount(count)
+    return BallCount(count, tuple(
+        head + "".join(tail) for head in heads
+        for tail in itertools.product(ALPHABET, repeat=n - len(head))))
 
 
 def _level_keys(sys: IFSSystem, n: int, keep_q: bool = False):

@@ -22,16 +22,14 @@ from .numeric import (
     SymbolicPoint,
     affine_sign_scaled,
     rational_str,
-    sym_compare,
 )
 from .ifs import (
     Ball,
     IFSSystem,
     S_DIM,
-    _lex_rank,
     _level_keys,
-    _prefix_walk,
     count_in_ball,
+    count_span,
     project,
     validate_word,
 )
@@ -43,11 +41,6 @@ class SymbolicInterval:
 
     lo: SymbolicPoint
     hi: SymbolicPoint
-
-    def validate(self, lam: LacunarySequence) -> "SymbolicInterval":
-        if sym_compare(self.lo, self.hi, lam) > 0:
-            raise ValueError("interval endpoints out of order")
-        return self
 
 
 @dataclass(frozen=True)
@@ -73,50 +66,18 @@ class MeasureBounds:
 def measure_bounds(sys: IFSSystem, J: SymbolicInterval, n: int) -> MeasureBounds:
     """Count level-n cylinders inside and meeting the closed interval J.
 
-    Runs the shared prefix-tree walk with J as target: the cylinder of a
-    depth-m node spans [v, v + 4**(n-m)] in scaled units.  A cylinder
-    inside J counts all 3**(n-m) descendants both ways, and a leaf that
-    crosses an endpoint counts only as meeting J.  Lower bounds are
-    nondecreasing in n because each contained cylinder splits into three
-    contained children.
-
-    When lam.below_grid covers every q-difference involved, value order
-    is lexicographic (P, Q) order: a leaf cylinder [v, v + 1] lies inside
-    J exactly when lo <= v <= hi - 1, and meets J exactly when
-    lo - 1 <= v <= hi, so both counts are differences of _lex_rank
-    values, O(n) digit steps instead of a walk.
+    count_span at width 1: a cylinder inside J counts all its 3**(n-m)
+    descendants both ways, and a leaf that crosses an endpoint counts
+    only as meeting J.  Lower bounds are nondecreasing in n because each
+    contained cylinder splits into three contained children.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
     if n > sys.enumeration_cap:
         raise EnumerationCapError(
             f"level {n} exceeds enumeration cap {sys.enumeration_cap}")
-    lam = sys.lam
-    J.validate(lam)
-    scale = 4 ** n
-    a_p = J.lo.p * scale
-    a_q = J.lo.q * scale
-    b_p = J.hi.p * scale
-    b_q = J.hi.q * scale
-    den = math.lcm(a_p.denominator, a_q.denominator,
-                   b_p.denominator, b_q.denominator)
-    LP, LQ = lo = (int(a_p * den), int(a_q * den))
-    HP, HQ = hi = (int(b_p * den), int(b_q * den))
-    if lam.below_grid(max((scale - 1) // 3 * den, LQ, HQ)):
-        contained = max(0, _lex_rank(n, den, HP - den, HQ, False)
-                        - _lex_rank(n, den, LP, LQ, True))
-        intersecting = (_lex_rank(n, den, HP, HQ, False)
-                        - _lex_rank(n, den, LP - den, LQ, True))
-    else:
-        hulls = [(4 ** (n - m), 0) for m in range(n + 1)]
-        contained = 0
-        intersecting = 0
-        for m, _, _, inside in _prefix_walk(n, lo, hi, den, hulls, lam):
-            if inside:
-                contained += 3 ** (n - m)
-                intersecting += 3 ** (n - m)
-            else:
-                intersecting += 1
+    contained, intersecting = count_span(sys, n, (J.lo.p, J.lo.q),
+                                         (J.hi.p, J.hi.q), 1)
     return MeasureBounds(
         n=n,
         contained=contained,

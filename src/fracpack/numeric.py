@@ -16,7 +16,6 @@ soundness.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -460,28 +459,3 @@ def affine_sign_scaled(A: int, B: int, lam: LacunarySequence) -> int:
             raise EnclosureCapError(
                 "sign undecidable within the materialization cap")
         J += 1
-
-
-def affine_sign(a: Fraction, b: Fraction, lam: LacunarySequence) -> int:
-    """Exact sign of a + b*u for rationals a, b."""
-    a = Fraction(a)
-    b = Fraction(b)
-    d = math.lcm(a.denominator, b.denominator)
-    return affine_sign_scaled(int(a * d), int(b * d), lam)
-
-
-def sym_compare(a: SymbolicPoint, b: SymbolicPoint, lam: LacunarySequence) -> int:
-    """Three-way comparison of two points: -1, 0 or +1.
-
-    For irrational-mode sequences equality holds exactly when the (p, q)
-    pairs coincide, since 1 and u are rationally independent; otherwise
-    the sign of the difference is resolved by enclosure refinement.  For
-    explicit sequences the comparison is an exact rational evaluation.
-    """
-    if lam.u_is_rational:
-        u = lam.u_exact()
-        return _sgn((a.p + a.q * u) - (b.p + b.q * u))
-    if a.p == b.p and a.q == b.q:
-        return 0
-    return affine_sign(a.p - b.p, a.q - b.q, lam)
-

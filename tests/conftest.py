@@ -1,10 +1,13 @@
 import contextlib
+import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
-from fracpack import IFSSystem, LacunarySequence, make_lacunary
+from fracpack import IFSSystem, LacunarySequence, make_lacunary, project
+from fracpack.numeric import affine_sign_scaled
 
 MASTER_SEED = 0x5EED
 
@@ -46,6 +49,32 @@ def walker_only():
     prefix-tree walk instead of the rank path."""
     with mock.patch.object(LacunarySequence, "below_grid", return_value=False):
         yield
+
+
+def rational_sign(a, b, lam) -> int:
+    """Exact sign of a + b*u for rationals a, b, scaled to a common denominator."""
+    a, b = Fraction(a), Fraction(b)
+    d = math.lcm(a.denominator, b.denominator)
+    return affine_sign_scaled(int(a * d), int(b * d), lam)
+
+
+def span_count_oracle(lam, n, lo, hi, width) -> tuple[int, int]:
+    """(inside, meeting) over all 3**n words, one word at a time.
+
+    The reference for count_span: a word at x spans [x, x + width*4**-n],
+    and each end of that span is placed against the (p, q) ends lo and hi
+    by one exact sign test.
+    """
+    w = Fraction(width, 4 ** n)
+    inside = meeting = 0
+    for t in itertools.product("01u", repeat=n):
+        x = project("".join(t))
+        if (rational_sign(x.p - hi[0], x.q - hi[1], lam) <= 0
+                and rational_sign(x.p + w - lo[0], x.q - lo[1], lam) >= 0):
+            meeting += 1
+            inside += (rational_sign(x.p - lo[0], x.q - lo[1], lam) >= 0
+                       and rational_sign(x.p + w - hi[0], x.q - hi[1], lam) <= 0)
+    return inside, meeting
 
 
 def influence_scan_oracle(w: str, j: int, lam) -> list[tuple[int, int]]:

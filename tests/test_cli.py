@@ -84,6 +84,24 @@ class TestCount:
                            "--center", "000000", "--C", "1", "--witnesses")
         assert code == 0 and json.loads(out)["witnesses"] == ["0", "1", "u"]
 
+    def test_witness_list_past_cap_exits_3_fast(self, capsys, monkeypatch):
+        # The ball holds all 3**9 words; the cap allows 3**5.
+        monkeypatch.setenv("FRACPACK_ENUM_CAP", "5")
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "count", "--lambda", "explicit:2,6,14", "--n", "9",
+                             "--center", "0", "--C", "100000", "--witnesses")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert time.perf_counter() - t0 < 1
+
+    def test_short_witness_list_past_cap_depth(self, capsys, monkeypatch):
+        # The cap bounds the list, not the depth: n = 16 > 5 still answers.
+        monkeypatch.setenv("FRACPACK_ENUM_CAP", "5")
+        code, out, _ = run(capsys, "count", "--lambda", "explicit:2,6,14", "--n", "16",
+                           "--center", "1", "--C", "1", "--witnesses")
+        payload = json.loads(out)
+        assert code == 0 and payload["count"] == len(payload["witnesses"]) == 5
+
     def test_deep_walk_does_not_recurse(self, capsys):
         # Depth 1200 is far past the interpreter's recursion limit.
         code, out, _ = run(capsys, "count", "--lambda", "explicit:2,6,14", "--n", "1200",

@@ -22,7 +22,7 @@ from fracpack import (
     similarity_dimension,
     validate_word,
 )
-from conftest import exact_value, walker_only
+from conftest import exact_value, span_count_oracle, walker_only
 
 ZERO = SymbolicPoint(F(0), F(0))
 
@@ -211,6 +211,29 @@ class TestRankPath:
         with walker_only():
             walked = count_in_ball(sys, n, ball).count
         assert count_in_ball(sys, n, ball).count == walked
+
+
+# Irrational u with lam_1 = 1 or 3: the gate shuts from n = 2 or 4 on, so
+# there the walk answers, and here it answers to a brute force.
+walked_lams = st.sampled_from(["geometric:b=3,start=1", "geometric:b=3,start=3"])
+
+
+class TestWalkPastGate:
+    @given(desc=walked_lams, n=st.integers(0, 6), w=st.text(alphabet="01u", max_size=8),
+           shift=st.integers(0, 5), num=st.integers(0, 12))
+    @example(desc="geometric:b=3,start=1", n=3, w="u10", shift=0, num=4)  # a point on hi
+    @example(desc="geometric:b=3,start=3", n=5, w="u0u1", shift=3, num=5)
+    @example(desc="geometric:b=3,start=1", n=0, w="1", shift=1, num=2)
+    @settings(max_examples=60, deadline=None)
+    def test_ball_matches_brute_force(self, desc, n, w, shift, num):
+        lam = make_lacunary(desc)
+        x = project(w[:n + 2])
+        center = SymbolicPoint(x.p + F(shift, 4 ** (n + 1)), x.q)
+        ball = Ball(center, F(num, 4) * F(1, 4 ** n))
+        lo = (center.p - ball.radius, center.q)
+        hi = (center.p + ball.radius, center.q)
+        want, _ = span_count_oracle(lam, n, lo, hi, 0)
+        assert count_in_ball(IFSSystem(lam), n, ball).count == want
 
 
 class TestDistinctPoints:

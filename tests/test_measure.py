@@ -25,17 +25,21 @@ from fracpack import (
     packing_premeasure_estimate,
     project,
     recommended_word_length,
-    sym_compare,
 )
 from fracpack import measure
 from fracpack.numeric import _u_enclosure_info, affine_sign_scaled
-from conftest import exact_value, walker_only
+from conftest import exact_value, rational_sign, span_count_oracle, walker_only
 
 ZERO = SymbolicPoint(F(0), F(0))
 
 
 def rational_interval(a, b) -> SymbolicInterval:
     return SymbolicInterval(SymbolicPoint(F(a), F(0)), SymbolicPoint(F(b), F(0)))
+
+
+def point_order(lam):
+    """Sort key that orders points p + q*u by value."""
+    return functools.cmp_to_key(lambda s, t: rational_sign(s.p - t.p, s.q - t.q, lam))
 
 
 dyadics = st.integers(0, 16).map(lambda k: F(k, 16))
@@ -114,6 +118,15 @@ class TestMeasureBounds:
         with pytest.raises(ValueError):
             measure_bounds(sys_toy, rational_interval(F(1, 2), F(1, 4)), 1)
 
+    def test_reversed_by_u_tail_rejected(self, sys_paper):
+        # u = 4**-27 + (a tail below 4**-19683): only u's tail orders the ends.
+        u, grid = SymbolicPoint(F(0), F(1)), SymbolicPoint(F(1, 4 ** 27), F(0))
+        with pytest.raises(ValueError, match="out of order"):
+            measure_bounds(sys_paper, SymbolicInterval(u, grid), 1)
+        # The cylinders of 0 and u both hold the whole interval [4**-27, u].
+        mb = measure_bounds(sys_paper, SymbolicInterval(grid, u), 1)
+        assert (mb.contained, mb.intersecting) == (0, 2)
+
     def test_level_validation(self, sys_toy):
         with pytest.raises(ValueError):
             measure_bounds(sys_toy, rational_interval(0, 1), -1)
@@ -153,11 +166,29 @@ class TestMeasureBounds:
         sys = IFSSystem(lam)
         x, y = project(a[:n + 6]), project(b[:n + 6])
         y = SymbolicPoint(y.p + F(shift, 4 ** (n + 1)), y.q)
-        J = SymbolicInterval(*sorted([x, y], key=functools.cmp_to_key(
-            lambda s, t: sym_compare(s, t, lam))))
+        J = SymbolicInterval(*sorted([x, y], key=point_order(lam)))
         with walker_only():
             walked = measure_bounds(sys, J, n)
         assert measure_bounds(sys, J, n) == walked
+
+    @given(desc=st.sampled_from(["geometric:b=3,start=1", "geometric:b=3,start=3"]),
+           n=st.integers(0, 6), a=st.text(alphabet="01u", max_size=8),
+           b=st.text(alphabet="01u", max_size=8), sa=st.integers(0, 5),
+           sb=st.integers(0, 5))
+    # A cylinder whose right end is hi; a leaf crossing lo; level 0.
+    @example(desc="geometric:b=3,start=3", n=4, a="", b="1u01", sa=0, sb=4)
+    @example(desc="geometric:b=3,start=1", n=4, a="u10u", b="1", sa=2, sb=0)
+    @example(desc="geometric:b=3,start=1", n=0, a="u", b="1", sa=1, sb=0)
+    @settings(max_examples=60, deadline=None)
+    def test_walk_past_gate_matches_brute_force(self, desc, n, a, b, sa, sb):
+        # The gate shuts from n = 2 (start=1) or n = 4 (start=3) on.
+        lam = make_lacunary(desc)
+        ends = [SymbolicPoint(x.p + F(s, 4 ** (n + 1)), x.q)
+                for x, s in ((project(a[:n + 2]), sa), (project(b[:n + 2]), sb))]
+        lo, hi = sorted(ends, key=point_order(lam))
+        mb = measure_bounds(IFSSystem(lam), SymbolicInterval(lo, hi), n)
+        want = span_count_oracle(lam, n, (lo.p, lo.q), (hi.p, hi.q), 1)
+        assert (mb.contained, mb.intersecting) == want
 
     @given(a=dyadics, b=dyadics, n=st.integers(0, 5))
     @settings(max_examples=60, deadline=None)

@@ -12,12 +12,10 @@ from fracpack.numeric import (
     LacunarySequence,
     SymbolicPoint,
     _u_enclosure_info,
-    affine_sign,
     affine_sign_scaled,
     make_lacunary,
     parse_rational,
     rational_str,
-    sym_compare,
 )
 
 F = Fraction
@@ -207,24 +205,25 @@ class TestAffineSign:
         assert issubclass(EnclosureCapError, CapError)
 
     def test_affine_sign_fractions(self, lam_paper):
-        assert affine_sign(F(-1, 4 ** 27), F(1), lam_paper) == 1
-        assert affine_sign(F(1, 8), F(-1, 2), lam_paper) == 1
+        # a + b*u for rationals a, b: scale both by a common denominator.
+        # -4**-27 + u and 1/8 - u/2, scaled by 4**27 and by 8.
+        assert affine_sign_scaled(-1, 4 ** 27, lam_paper) == 1
+        assert affine_sign_scaled(1, -4, lam_paper) == 1
 
 
 class TestCompareEval:
+    """Two points compare as the sign of their difference, scaled to integers."""
+
     @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40), st.integers(0, 40))
     def test_compare_matches_exact(self, p1, q1, p2, q2):
         lam = make_lacunary("explicit:2,6")
         u = lam.u_exact()
-        a = SymbolicPoint(F(p1, 16), F(q1, 16))
-        b = SymbolicPoint(F(p2, 16), F(q2, 16))
-        va, vb = a.p + a.q * u, b.p + b.q * u
-        assert sym_compare(a, b, lam) == (va > vb) - (va < vb)
+        va, vb = F(p1, 16) + F(q1, 16) * u, F(p2, 16) + F(q2, 16) * u
+        assert affine_sign_scaled(p1 - p2, q1 - q2, lam) == (va > vb) - (va < vb)
 
     def test_trichotomy_on_irrational(self, lam_paper):
-        a = SymbolicPoint(F(1, 4), F(0))
-        b = SymbolicPoint(F(0), F(1, 4))
-        assert sym_compare(a, b, lam_paper) == 1
-        assert sym_compare(b, a, lam_paper) == -1
-        assert sym_compare(a, a, lam_paper) == 0
+        # 1/4 against u/4, scaled by 4.
+        assert affine_sign_scaled(1, -1, lam_paper) == 1
+        assert affine_sign_scaled(-1, 1, lam_paper) == -1
+        assert affine_sign_scaled(0, 0, lam_paper) == 0
 
