@@ -34,9 +34,9 @@ S_DIM = math.log(3) / math.log(4)
 def validate_word(word: str) -> str:
     """Normalize a code word to lowercase and check its alphabet."""
     w = word.lower()
-    for ch in w:
-        if ch not in ALPHABET:
-            raise ValueError(f"invalid code symbol {ch!r}; alphabet is 0, 1, u")
+    if w.strip(ALPHABET):
+        bad = next(ch for ch in w if ch not in ALPHABET)
+        raise ValueError(f"invalid code symbol {bad!r}; alphabet is 0, 1, u")
     return w
 
 
@@ -133,44 +133,51 @@ class BallCount:
 
 
 def _prefix_walk(n: int, lo: tuple[int, int], hi: tuple[int, int], den: int,
-                 hulls: list[tuple[int, int]], lam: LacunarySequence):
+                 width: int, lam: LacunarySequence):
     """Classify the level-n prefix tree against the interval [lo, hi].
 
     Points are scaled by 4**n: the endpoints are (P + Q*u) / den for the
     pairs lo and hi, and a node (m, P, Q), a length-m prefix with partial
-    sums P and Q, spans [P + Q*u, P + dP + (Q + dQ)*u] with (dP, dQ) =
-    hulls[m].  A node whose span provably misses the interval is pruned,
-    one whose span lies inside it is yielded as (m, P, Q, True) without
-    descending, and a leaf crossing an endpoint is yielded as
-    (m, P, Q, False); other nodes split into their 0, 1 and u children.
-    Nodes come out in depth-first 0, 1, u order, from an explicit stack,
-    so the depth is not limited by the interpreter's recursion limit.
+    sums P and Q, spans [P + Q*u, P + g + width + Q*u] with g =
+    (4**(n-m) - 1)//3, the sum of the weights below it.  A node whose span
+    provably misses the interval is pruned, one whose span lies inside it
+    is yielded as (m, P, Q, True) without descending, and a leaf crossing
+    an endpoint is yielded as (m, P, Q, False); other nodes split into
+    their 0, 1 and u children.  Nodes come out in depth-first 0, 1, u
+    order, from an explicit stack, so the depth is not limited by the
+    interpreter's recursion limit.  A pending child is stacked as its
+    parent's sums and its digit, so it holds no integer of its own.
     """
     LP, LQ = lo
     HP, HQ = hi
-    stack = [(0, 0, 0)]
+    stack = [(0, 0, 0, "0")]
     while stack:
-        m, P, Q = stack.pop()
-        dP, dQ = hulls[m]
+        m, P, Q, digit = stack.pop()
+        w = 1 << 2 * (n - m)
+        if digit == "1":
+            P += w
+        elif digit == "u":
+            Q += w
+        dP = w // 3 + width
         a, b = P * den, Q * den
-        c, d = a + dP * den, b + dQ * den
+        c = a + dP * den
         # Span minimum above hi, or maximum below lo: prune.
         if affine_sign_scaled(a - HP, b - HQ, lam) > 0:
             continue
-        if affine_sign_scaled(c - LP, d - LQ, lam) < 0:
+        if affine_sign_scaled(c - LP, b - LQ, lam) < 0:
             continue
         # A point span that is not missed is inside; skip the two tests.
-        if ((dP == 0 and dQ == 0)
+        if (dP == 0
                 or (affine_sign_scaled(a - LP, b - LQ, lam) >= 0
-                    and affine_sign_scaled(c - HP, d - HQ, lam) <= 0)):
+                    and affine_sign_scaled(c - HP, b - HQ, lam) <= 0)):
             yield m, P, Q, True
         elif m == n:
             yield m, P, Q, False
         else:
-            step = 4 ** (n - m - 1)
-            stack.append((m + 1, P, Q + step))
-            stack.append((m + 1, P + step, Q))
-            stack.append((m + 1, P, Q))
+            m += 1
+            stack.append((m, P, Q, "u"))
+            stack.append((m, P, Q, "1"))
+            stack.append((m, P, Q, "0"))
 
 
 def _lex_rank(n: int, den: int, X: int, Y: int, strict: bool) -> int:
@@ -240,9 +247,10 @@ def count_span(sys: IFSSystem, n: int, lo: tuple[Fraction, Fraction],
     The ends are (p, q) pairs standing for p + q*u.  A word at x spans
     [x, x + width*4**-n]: width 0 is a point (a ball count), width 1 its
     level-n cylinder.  Scaled by 4**n, the descendants of a depth-m
-    prefix at P + Q*u lie in [P + Q*u, P + g + width + (Q + g)*u] with
-    g = (4**(n-m) - 1)//3, the walk's hull.  This is the one place that
-    chooses between the O(n) rank and the prefix walk.
+    prefix at P + Q*u lie in [P + Q*u, P + g + width + Q*u] with
+    g = (4**(n-m) - 1)//3, the walk's hull: as 0 < u < 1, a digit adds
+    at most its weight.  This is the one place that chooses between the
+    O(n) rank and the prefix walk.
 
     When lam.below_grid(max(g*den at the root, q-parts of the ends)) and
     no list is asked for, value order is lexicographic (P, Q) order, so a
@@ -251,7 +259,8 @@ def count_span(sys: IFSSystem, n: int, lo: tuple[Fraction, Fraction],
     Otherwise the walk decides, in time proportional to its surviving
     nodes.  A list accepted receives the prefix of every inside node, in
     0, 1, u order, and EnumerationCapError stops it before those
-    prefixes stand for more than 3**enumeration_cap words.
+    prefixes stand for more than 3**enumeration_cap symbols (words
+    times n).
     """
     lam = sys.lam
     scale = 4 ** n
@@ -268,17 +277,16 @@ def count_span(sys: IFSSystem, n: int, lo: tuple[Fraction, Fraction],
             return inside, inside
         return inside, (_lex_rank(n, den, HP, HQ, False)
                          - _lex_rank(n, den, LP - shift, LQ, True))
-    hulls = [(g + width, g) for g in ((4 ** (n - m) - 1) // 3 for m in range(n + 1))]
     cap = 3 ** sys.enumeration_cap
     inside = meeting = 0
-    for m, P, Q, whole in _prefix_walk(n, (LP, LQ), (HP, HQ), den, hulls, lam):
+    for m, P, Q, whole in _prefix_walk(n, (LP, LQ), (HP, HQ), den, width, lam):
         meeting += 3 ** (n - m)  # a leaf crossing an end has m == n
         if whole:
             inside += 3 ** (n - m)
             if accepted is not None:
-                if inside > cap:
+                if inside * n > cap:
                     raise EnumerationCapError(
-                        f"witness list passes 3**{sys.enumeration_cap} words "
+                        f"witness list passes 3**{sys.enumeration_cap} symbols "
                         f"(enumeration cap {sys.enumeration_cap})")
                 accepted.append(_prefix_word(n, m, P, Q))
     return inside, meeting
@@ -293,7 +301,7 @@ def count_in_ball(sys: IFSSystem, n: int, ball: Ball,
     paper sequence) in O(n) digit steps.  With witnesses, the accepted
     words are listed in lexicographic 0, 1, u order; they take the walk,
     whose running time is proportional to the number of surviving nodes,
-    not 3**n, and a list past 3**enumeration_cap words raises
+    not 3**n, and a list past 3**enumeration_cap symbols raises
     EnumerationCapError.  On the walk, centers that align with the
     attractor's finest structure (e.g. 0 itself) can make the count
     genuinely exponential.

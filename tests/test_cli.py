@@ -94,6 +94,14 @@ class TestCount:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert time.perf_counter() - t0 < 1
 
+    def test_witness_list_capped_on_symbols(self, capsys, monkeypatch):
+        # 7962624 words, under 3**15 words but past 3**15 symbols at n = 20.
+        monkeypatch.delenv("FRACPACK_ENUM_CAP", raising=False)
+        code, out, err = run(capsys, "count", "--lambda", "paper", "--n", "20",
+                             "--center", "0", "--C", "1000", "--witnesses")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "symbols" in err
+
     def test_short_witness_list_past_cap_depth(self, capsys, monkeypatch):
         # The cap bounds the list, not the depth: n = 16 > 5 still answers.
         monkeypatch.setenv("FRACPACK_ENUM_CAP", "5")

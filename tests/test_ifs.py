@@ -74,6 +74,17 @@ class TestWordsAndMaps:
         with pytest.raises(ValueError, match="alphabet"):
             validate_word("012")
 
+    @given(word=st.text(alphabet="01uU", max_size=40), data=st.data())
+    def test_validate_lowers_or_names_bad_symbol(self, word, data):
+        assert validate_word(word) == word.lower()
+        bad = data.draw(st.characters().filter(
+            lambda ch: len(ch.lower()) == 1 and ch.lower() not in "01u"), label="bad")
+        i = data.draw(st.integers(0, len(word)), label="i")
+        with pytest.raises(ValueError) as info:
+            validate_word(word[:i] + bad + word[i:])
+        assert str(info.value) == (f"invalid code symbol {bad.lower()!r}; "
+                                   "alphabet is 0, 1, u")
+
     def test_apply_zero_map_fixes_origin(self):
         assert apply_map("0", ZERO) == ZERO
 

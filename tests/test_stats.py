@@ -79,6 +79,18 @@ class TestBinomial:
         assert binom_pmf(N, p) == pmf
         assert binom_tail(N, p, M) == sum(pmf[:M + 1], F(0))
 
+    @pytest.mark.parametrize("N, p, M", [
+        (3000, F(5, 7), 2100),  # mid-size N with a > 1
+        (3000, F(5, 7), 0),
+        (3000, F(5, 7), 2999),  # M = N - 1
+        (3000, F(1), 2999),  # p = 1 with M < N: no mass at or below M
+    ])
+    def test_tail_matches_comb_sum(self, N, p, M):
+        a, b = p.numerator, p.denominator
+        exact = F(sum(math.comb(N, m) * a ** m * (b - a) ** (N - m)
+                      for m in range(M + 1)), b ** N)
+        assert binom_tail(N, p, M) == exact
+
     def test_matches_comb_sum_at_exact_limit(self):
         N, M = EXACT_BINOMIAL_LIMIT, 1000
         exact = F(sum(math.comb(N, m) * 8 ** (N - m) for m in range(M + 1)), 9 ** N)
