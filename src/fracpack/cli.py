@@ -23,13 +23,14 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .codespace import influence_count
+from .codespace import influence_count, sample_sequence
 from .config import RunConfig, resolve_config
-from .ifs import Ball, IFSSystem, count_in_ball, project, similarity_dimension
+from .ifs import S_DIM, Ball, IFSSystem, count_in_ball, project, similarity_dimension
 from .measure import (
     SymbolicInterval,
     box_counting_profile,
     density_profile,
+    density_ratio,
     measure_bounds,
     packing_premeasure_estimate,
     recommended_word_length,
@@ -164,6 +165,59 @@ def cmd_density(args, cfg: RunConfig) -> int:
     return 0
 
 
+def cmd_blowup(args, cfg: RunConfig) -> int:
+    """Density ratios at level j around seeded words with S >= min_successes.
+
+    Each kept word's floor (S + 1)/(2*(C + 1))**s holds for C >= 5/3: its
+    level-j prefix and one perturbed prefix per influence record are S + 1
+    distinct words within (5/3)*4**-j of its point x.  A record (i, k) turns the u at
+    i into 0 and the zeros at i + lam_1, ..., i + lam_k into 1, which moves
+    the point left by 4**-i * sum_{m>k} 4**-lam_m < (4/3)*4**-j, because
+    i + lam_{k+1} >= j.  Cutting a word at j moves it left by at most
+    (1/3)*4**-j.  So count >= S + 1 and ratio_bound >= floor.
+    """
+    C = parse_rational(args.C)
+    if C < Fraction(5, 3):
+        raise ValueError(f"C = {rational_str(C)} is below 5/3, the radius "
+                         "coefficient that certifies count >= S + 1")
+    if args.j < 1:
+        raise ValueError("j must be >= 1")
+    if args.samples < 0:
+        raise ValueError("samples must be >= 0")
+    _check_trials(args.samples, cfg)
+    system = _system(args, cfg)
+    lam = system.lam
+    length = recommended_word_length(lam, args.j)
+    if length > lam.materialize_cap:
+        raise CapError(f"word length {length} exceeds materialize_cap = {lam.materialize_cap}")
+    seed = cfg.seed if args.seed is None else args.seed
+    scale = (2.0 * float(C + 1)) ** S_DIM
+    entries = []
+    for t in range(args.samples):
+        word = sample_sequence(f"{seed}:cond:{t}", length).word
+        S = influence_count(word, args.j, lam).count
+        if S < args.min_successes:
+            continue
+        entry = density_ratio(system, project(word), args.j, C)
+        entries.append({"trial": t, "S": S, "count": entry.count,
+                        "ratio_bound": entry.ratio_bound, "floor": (S + 1) / scale})
+    payload = {
+        "schema": 1,
+        "lambda": lam.descriptor(),
+        "j": args.j,
+        "C": rational_str(C),
+        "word_length": length,
+        "min_successes": args.min_successes,
+        "samples": args.samples,
+        "seed": seed,
+        "entries": entries,
+        "min_ratio": min((e["ratio_bound"] for e in entries), default=None),
+    }
+    keys = ["trial", "S", "count", "ratio_bound", "floor"]
+    _emit(args, cfg, payload, [keys] + [[e[k] for k in keys] for e in entries])
+    return 0
+
+
 def cmd_measure(args, cfg: RunConfig) -> int:
     system = _system(args, cfg)
     lo = SymbolicPoint(parse_rational(args.lo), Fraction(0))
@@ -270,6 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--C", default="3", help="ball radius coefficient")
     p.set_defaults(func=cmd_density)
+
+    p = subs.add_parser("blowup", help="density ratios at seeded words with many "
+                                       "influencing positions")
+    _add_common(p)
+    p.add_argument("--j", type=int, required=True, help="target position and level")
+    p.add_argument("--C", default="3", help="ball radius coefficient, at least 5/3")
+    p.add_argument("--min-successes", type=int, default=2,
+                   help="keep words with S >= this threshold")
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(func=cmd_blowup)
 
     p = subs.add_parser("measure", help="natural-measure bounds for an interval")
     _add_common(p)

@@ -17,7 +17,6 @@ since the bound then says nothing.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,37 +36,26 @@ LOG_DOMAIN_REL_TOL = 1e-9
 
 
 def binom_pmf(N: int, p: Fraction) -> list[Fraction]:
-    """Exact Binomial(N, p) probabilities for m = 0..N."""
+    """Exact Binomial(N, p) probabilities for m = 0..N.
+
+    With p = a/b and c = b - a, the m-th is t_m * c**(N - m) / b**N, on
+    the short integers t_m = C(N, m) * a**m that binom_tail's Horner sum
+    reads.  At p = 0 only t_0 is nonzero; at p = 1 only c**0 is.
+    """
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     if N < 0:
         raise ValueError("N must be >= 0")
-    den = p.denominator ** N
-    return [Fraction(t, den) for t in _binom_numerators(N, p)]
-
-
-def _binom_numerators(N: int, p: Fraction):
-    """Integers C(N, m) * a**m * (b - a)**(N - m) for m = 0..N, with p = a/b.
-
-    Over b**N they are the Binomial(N, p) probabilities.  Each comes from
-    the one before by term * (N - m) * a // ((m + 1) * (b - a)); the
-    division is exact, because both sides equal C(N, m + 1) * (m + 1) *
-    a**(m + 1) * (b - a)**(N - m).  At p = 0 the recurrence yields
-    (b - a)**N and then zeros; at p = 1 its divisor b - a is 0, so all
-    mass sits at m = N.
-    """
     a, b = p.numerator, p.denominator
     c = b - a
-    if c == 0:
-        yield from itertools.repeat(0, N)
-        yield b ** N
-        return
-    term = c ** N
-    yield term
-    for m in range(N):
-        term = term * (N - m) * a // ((m + 1) * c)
-        yield term
+    den = b ** N
+    pmf = []
+    t = 1
+    for m in range(N + 1):
+        pmf.append(Fraction(t * c ** (N - m), den))
+        t = t * ((N - m) * a) // (m + 1)
+    return pmf
 
 
 def binom_tail(N: int, p: Fraction, M: int):

@@ -5,9 +5,11 @@ import os
 import shutil
 import subprocess
 import time
+from fractions import Fraction
 
 import pytest
 
+from fracpack import IFSSystem, density_ratio, make_lacunary, project, sample_sequence
 from fracpack.cli import main
 
 
@@ -207,6 +209,74 @@ class TestDensity:
         assert all(e["count"] >= 1 for e in payload["entries"])
 
 
+class TestBlowup:
+    ARGS = ("blowup", "--lambda", "explicit:2,6,14,30", "--j", "13")
+
+    def test_default_study_figures(self, capsys):
+        code, out, _ = run(capsys, *self.ARGS, "--C", "3", "--min-successes", "2",
+                           "--samples", "200")
+        payload = json.loads(out)
+        assert code == 0 and payload["word_length"] == 29
+        assert len(payload["entries"]) == 80
+        assert round(payload["min_ratio"], 6) == 2.116951
+
+    @pytest.mark.parametrize("lam,j", [("explicit:2,6,14,30", "13"),
+                                       ("geometric:b=3,start=3", "12")])
+    @pytest.mark.parametrize("C", ["3", "5/3"])
+    def test_every_count_beats_family(self, lam, j, C, capsys):
+        code, out, _ = run(capsys, "blowup", "--lambda", lam, "--j", j, "--C", C,
+                           "--min-successes", "0", "--samples", "40")
+        entries = json.loads(out)["entries"]
+        assert code == 0 and len(entries) == 40
+        assert all(e["count"] >= e["S"] + 1 for e in entries)
+        assert all(e["ratio_bound"] >= e["floor"] for e in entries)
+
+    def test_family_escapes_ball_below_five_thirds(self, capsys):
+        argv = self.ARGS + ("--samples", "20", "--min-successes", "2")
+        code, out, _ = run(capsys, *argv, "--C", "5/3")
+        entry = json.loads(out)["entries"][-1]
+        assert code == 0 and (entry["trial"], entry["S"], entry["count"]) == (19, 2, 5)
+        # At C = 1 trial 19's ball holds only its own prefix, not S + 1 = 3 words.
+        lam = make_lacunary("explicit:2,6,14,30")
+        word = sample_sequence(f"{0x5EED}:cond:19", 29).word
+        assert word == "0uu1u1u10uu111u1110u00u1uu100"
+        assert density_ratio(IFSSystem(lam), project(word), 13, Fraction(1)).count == 1
+        code, out, err = run(capsys, *argv, "--C", "1")
+        assert code == 2 and out == "" and "5/3" in err
+
+    def test_csv_columns(self, capsys):
+        code, out, _ = run(capsys, *self.ARGS, "--samples", "5", "--format", "csv")
+        assert code == 0 and out.splitlines()[0] == "trial,S,count,ratio_bound,floor"
+
+    def test_no_kept_word_gives_null_minimum(self, capsys):
+        code, out, _ = run(capsys, *self.ARGS, "--samples", "5", "--min-successes", "99")
+        payload = json.loads(out)
+        assert code == 0 and payload["entries"] == [] and payload["min_ratio"] is None
+
+    @pytest.mark.parametrize("argv", [("--lambda", "bogus"), ("--C", "0"), ("--C", "1"),
+                                      ("--j", "0"), ("--samples", "-1")],
+                             ids=lambda a: "".join(a))
+    def test_bad_input_exits_2(self, argv, capsys):
+        code, out, err = run(capsys, *self.ARGS, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_samples_past_trials_cap_exit_3(self, capsys):
+        code, out, err = run(capsys, *self.ARGS, "--samples", "2000000")
+        assert code == 3 and out == "" and "trials_cap" in err
+
+    def test_word_past_materialize_cap_exit_3(self, capsys, monkeypatch):
+        # At j = 12 the recommended word has 12 + 2*(9 - 3) = 24 symbols.
+        argv = ("blowup", "--lambda", "geometric:b=3,start=3", "--j", "12",
+                "--samples", "3")
+        monkeypatch.setenv("FRACPACK_MATERIALIZE_CAP", "23")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "materialize_cap" in err
+        monkeypatch.setenv("FRACPACK_MATERIALIZE_CAP", "24")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["word_length"] == 24
+
+
 class TestMeasurePackBoxcount:
     def test_measure_interval(self, capsys):
         code, out, _ = run(capsys, "measure", "--lambda", "paper", "--lo", "0",
@@ -358,6 +428,7 @@ ALL_COMMANDS = [
     ("pack", "--lambda", "explicit:2,6", "--n", "3", "--delta", "1/16"),
     ("boxcount", "--lambda", "explicit:2,6", "--n-max", "4"),
     ("verify", "--lambda", "explicit:2,6,14", "--M", "0", "--k-max", "1"),
+    ("blowup", "--lambda", "explicit:2,6,14,30", "--j", "13", "--samples", "20"),
 ]
 
 
