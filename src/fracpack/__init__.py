@@ -26,7 +26,6 @@ from .ifs import (
     DEFAULT_ENUMERATION_CAP,
     IFSSystem,
     S_DIM,
-    apply_map,
     count_in_ball,
     distinct_level_points,
     project,

@@ -82,19 +82,6 @@ def similarity_dimension(ratios) -> float:
             hi = mid
 
 
-def apply_map(symbol: str, x: SymbolicPoint) -> SymbolicPoint:
-    """Image of x under the map labeled by one alphabet symbol."""
-    s = validate_word(symbol)
-    if len(s) != 1:
-        raise ValueError("apply_map takes a single symbol")
-    if s == "0":
-        return SymbolicPoint(x.p / 4, x.q / 4)
-    if s == "1":
-        return SymbolicPoint((x.p + 1) / 4, x.q / 4)
-    # (x + u)/4 adds a fresh u/4 on top of the scaled q part.
-    return SymbolicPoint(x.p / 4, (x.q + 1) / 4)
-
-
 def project(word: str) -> SymbolicPoint:
     """Left endpoint of the cylinder of a word: sum_n digit_n * 4**(-n)."""
     w = validate_word(word)
@@ -136,48 +123,73 @@ def _prefix_walk(n: int, lo: tuple[int, int], hi: tuple[int, int], den: int,
                  width: int, lam: LacunarySequence):
     """Classify the level-n prefix tree against the interval [lo, hi].
 
-    Points are scaled by 4**n: the endpoints are (P + Q*u) / den for the
-    pairs lo and hi, and a node (m, P, Q), a length-m prefix with partial
-    sums P and Q, spans [P + Q*u, P + g + width + Q*u] with g =
-    (4**(n-m) - 1)//3, the sum of the weights below it.  A node whose span
-    provably misses the interval is pruned, one whose span lies inside it
-    is yielded as (m, P, Q, True) without descending, and a leaf crossing
-    an endpoint is yielded as (m, P, Q, False); other nodes split into
-    their 0, 1 and u children.  Nodes come out in depth-first 0, 1, u
-    order, from an explicit stack, so the depth is not limited by the
-    interpreter's recursion limit.  A pending child is stacked as its
-    parent's sums and its digit, so it holds no integer of its own.
+    Points are scaled by 4**n, and N/4**L is lam.truncation(0): u itself
+    when u is rational, 0 (L = N = 0) when it is not.  A length-m prefix
+    with partial sums P and Q spans [P + Q*u, P + g + width + Q*u] with
+    g = (4**(n-m) - 1)//3, the sum of the weights below it.  Its node
+    (m, K, Q) carries the integer key K = 3*(P*4**L + Q*N)*den: its value
+    scaled by 3*den*4**L when u is rational, its p-part so scaled when u
+    is irrational.  The ends are (key, q) pairs over den, as count_span
+    builds them.  A node whose span provably misses the interval is
+    pruned, one whose span lies inside it is yielded as (m, K, Q, True)
+    without descending, and a leaf crossing an endpoint is yielded as
+    (m, K, Q, False); other nodes split into their 0, 1 and u children.
+    Nodes come out in depth-first 0, 1, u order, from an explicit stack,
+    so the depth is not limited by the interpreter's recursion limit.  A
+    pending child is stacked as its parent's K and Q and its digit.
+
+    A child adds its digit's step to K, 3*4**L*den for a 1 and 3*N*den
+    for a u, shifted to its weight: no multiplication per node.  The
+    factor 3 makes the hull a shift as well: 3*(g + width)*4**L*den =
+    (4**L*den << 2*(n-m)) + c with c = (3*width - 1)*4**L*den, and c moves
+    onto the ends.  For rational u the prune, inside and leaf tests
+    compare K and the hull top with the ends' keys as plain integers.
+    For irrational u each test is an affine_sign_scaled call on the key
+    and q-part differences, until one exact integer model of u replaces
+    them.
     """
-    LP, LQ = lo
-    HP, HQ = hi
+    L, N, keyed = lam.truncation(0)
+    one, den3 = den << 2 * L, 3 * den
+    step_1, step_u = 3 * one, N * den3
+    c = (3 * width - 1) * one
+    LK, HK = 3 * lo[0], 3 * hi[0]
+    LT, HT = LK - c, HK - c  # the hull top is compared with these
+    LQ, HQ = 3 * lo[1], 3 * hi[1]
     stack = [(0, 0, 0, "0")]
     while stack:
-        m, P, Q, digit = stack.pop()
-        w = 1 << 2 * (n - m)
+        m, K, Q, digit = stack.pop()
+        s = 2 * (n - m)
         if digit == "1":
-            P += w
+            K += step_1 << s
         elif digit == "u":
-            Q += w
-        dP = w // 3 + width
-        a, b = P * den, Q * den
-        c = a + dP * den
+            Q += 1 << s
+            if keyed:
+                K += step_u << s
+        T = K + (one << s)
         # Span minimum above hi, or maximum below lo: prune.
-        if affine_sign_scaled(a - HP, b - HQ, lam) > 0:
-            continue
-        if affine_sign_scaled(c - LP, b - LQ, lam) < 0:
-            continue
-        # A point span that is not missed is inside; skip the two tests.
-        if (dP == 0
-                or (affine_sign_scaled(a - LP, b - LQ, lam) >= 0
-                    and affine_sign_scaled(c - HP, b - HQ, lam) <= 0)):
-            yield m, P, Q, True
+        if keyed:
+            if K > HK or T < LT:
+                continue
+            whole = K >= LK and T <= HT
+        else:
+            b = Q * den3
+            if affine_sign_scaled(K - HK, b - HQ, lam) > 0:
+                continue
+            if affine_sign_scaled(T - LT, b - LQ, lam) < 0:
+                continue
+            # A point span that is not missed is inside; skip the two tests.
+            whole = (not (s or width)
+                     or (affine_sign_scaled(K - LK, b - LQ, lam) >= 0
+                         and affine_sign_scaled(T - HT, b - HQ, lam) <= 0))
+        if whole:
+            yield m, K, Q, True
         elif m == n:
-            yield m, P, Q, False
+            yield m, K, Q, False
         else:
             m += 1
-            stack.append((m, P, Q, "u"))
-            stack.append((m, P, Q, "1"))
-            stack.append((m, P, Q, "0"))
+            stack.append((m, K, Q, "u"))
+            stack.append((m, K, Q, "1"))
+            stack.append((m, K, Q, "0"))
 
 
 def _lex_rank(n: int, den: int, X: int, Y: int, strict: bool) -> int:
@@ -241,7 +253,8 @@ def _prefix_word(n: int, m: int, P: int, Q: int) -> str:
 
 def count_span(sys: IFSSystem, n: int, lo: tuple[Fraction, Fraction],
                hi: tuple[Fraction, Fraction], width: int,
-               accepted: Optional[list[str]] = None) -> tuple[int, int]:
+               accepted: Optional[list[str]] = None,
+               capped: bool = False) -> tuple[int, int]:
     """(inside, meeting): length-n words whose span lies inside, or meets, [lo, hi].
 
     The ends are (p, q) pairs standing for p + q*u.  A word at x spans
@@ -257,17 +270,31 @@ def count_span(sys: IFSSystem, n: int, lo: tuple[Fraction, Fraction],
     span at v lies inside exactly when lo <= v <= hi - width and meets
     exactly when lo - width <= v <= hi: differences of _lex_rank values.
     Otherwise the walk decides, in time proportional to its surviving
-    nodes.  A list accepted receives the prefix of every inside node, in
-    0, 1, u order, and EnumerationCapError stops it before those
-    prefixes stand for more than 3**enumeration_cap symbols (words
-    times n).
+    nodes; for rational u it compares integer keys, with no sign test
+    per node (see _prefix_walk).  A list accepted receives the prefix of
+    every inside node, in 0, 1, u order, and EnumerationCapError stops it
+    before those prefixes stand for more than 3**enumeration_cap symbols
+    (words times n).  With capped, a walk at n > enumeration_cap raises
+    EnumerationCapError before it starts; the rank path has no such cap.
+    As the gate needs irrational u and n <= lam_1, a capped count that
+    fails those stops before it scales by 4**n.
     """
     lam = sys.lam
+    capped = capped and n > sys.enumeration_cap
+    depth_cap = f"level {n} exceeds enumeration cap {sys.enumeration_cap}"
+    if capped and (lam.u_is_rational or n > lam.term(1)):
+        raise EnumerationCapError(depth_cap)
     scale = 4 ** n
     ends = [x * scale for x in (*lo, *hi)]
     den = math.lcm(*(x.denominator for x in ends))
     LP, LQ, HP, HQ = (x.numerator * (den // x.denominator) for x in ends)
-    if affine_sign_scaled(HP - LP, HQ - LQ, lam) < 0:
+    # The walk's (key, q) ends.  The key p*4**L + q*N, with N/4**L =
+    # truncation(0), is the whole value scaled by 4**L for rational u, so
+    # the q-part folds in; for irrational u it is p (L = N = 0).
+    L, N, keyed = lam.truncation(0)
+    lo_key, hi_key = (((p << 2 * L) + q * N, 0 if keyed else q)
+                      for p, q in ((LP, LQ), (HP, HQ)))
+    if affine_sign_scaled(hi_key[0] - lo_key[0], hi_key[1] - lo_key[1], lam) < 0:
         raise ValueError("interval endpoints out of order")
     if accepted is None and lam.below_grid(max((scale - 1) // 3 * den, LQ, HQ)):
         shift = width * den
@@ -277,17 +304,21 @@ def count_span(sys: IFSSystem, n: int, lo: tuple[Fraction, Fraction],
             return inside, inside
         return inside, (_lex_rank(n, den, HP, HQ, False)
                          - _lex_rank(n, den, LP - shift, LQ, True))
+    if capped:
+        raise EnumerationCapError(depth_cap)
     cap = 3 ** sys.enumeration_cap
     inside = meeting = 0
-    for m, P, Q, whole in _prefix_walk(n, (LP, LQ), (HP, HQ), den, width, lam):
-        meeting += 3 ** (n - m)  # a leaf crossing an end has m == n
+    for m, K, Q, whole in _prefix_walk(n, lo_key, hi_key, den, width, lam):
+        words = 3 ** (n - m)  # a leaf crossing an end has m == n
+        meeting += words
         if whole:
-            inside += 3 ** (n - m)
+            inside += words
             if accepted is not None:
                 if inside * n > cap:
                     raise EnumerationCapError(
                         f"witness list passes 3**{sys.enumeration_cap} symbols "
                         f"(enumeration cap {sys.enumeration_cap})")
+                P = (K // (3 * den) - Q * N) >> 2 * L  # K = 3*(P*4**L + Q*N)*den
                 accepted.append(_prefix_word(n, m, P, Q))
     return inside, meeting
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import (
-    EnumerationCapError,
     LacunarySequence,
     SymbolicPoint,
     affine_sign_scaled,
@@ -69,15 +68,14 @@ def measure_bounds(sys: IFSSystem, J: SymbolicInterval, n: int) -> MeasureBounds
     count_span at width 1: a cylinder inside J counts all its 3**(n-m)
     descendants both ways, and a leaf that crosses an endpoint counts
     only as meeting J.  Lower bounds are nondecreasing in n because each
-    contained cylinder splits into three contained children.
+    contained cylinder splits into three contained children.  Past the
+    enumeration cap, only a count that would walk raises
+    EnumerationCapError; the O(n) rank path answers at any level.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    if n > sys.enumeration_cap:
-        raise EnumerationCapError(
-            f"level {n} exceeds enumeration cap {sys.enumeration_cap}")
     contained, intersecting = count_span(sys, n, (J.lo.p, J.lo.q),
-                                         (J.hi.p, J.hi.q), 1)
+                                         (J.hi.p, J.hi.q), 1, capped=True)
     return MeasureBounds(
         n=n,
         contained=contained,

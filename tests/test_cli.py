@@ -290,6 +290,18 @@ class TestMeasurePackBoxcount:
                            "--hi", "1", "--n", "40")
         assert code == 3 and "cap" in err
 
+    def test_measure_past_cap_on_rank_path(self, capsys):
+        # Under paper, n = 27 = lam_1 is below the grid: the O(n) rank answers,
+        # so the enumeration cap (15) does not apply.  Every word starting
+        # with 0 or u lies inside [0, 1/4]; 1000...0 meets it at 1/4.
+        code, out, _ = run(capsys, "measure", "--lambda", "paper", "--lo", "0",
+                           "--hi", "1/4", "--n", "27")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["contained"], payload["intersecting"]) == (2 * 3 ** 26,
+                                                                    2 * 3 ** 26 + 1)
+        assert payload["lower"] == "2/3"
+
     def test_pack_level_one(self, capsys):
         code, out, _ = run(capsys, "pack", "--lambda", "paper", "--n", "1",
                            "--delta", "1/4")

@@ -14,7 +14,6 @@ from fracpack import (
     IFSSystem,
     S_DIM,
     SymbolicPoint,
-    apply_map,
     count_in_ball,
     distinct_level_points,
     make_lacunary,
@@ -22,6 +21,7 @@ from fracpack import (
     similarity_dimension,
     validate_word,
 )
+from fracpack.ifs import count_span
 from conftest import exact_value, span_count_oracle, walker_only
 
 ZERO = SymbolicPoint(F(0), F(0))
@@ -85,20 +85,6 @@ class TestWordsAndMaps:
         assert str(info.value) == (f"invalid code symbol {bad.lower()!r}; "
                                    "alphabet is 0, 1, u")
 
-    def test_apply_zero_map_fixes_origin(self):
-        assert apply_map("0", ZERO) == ZERO
-
-    def test_apply_one_map(self):
-        assert apply_map("1", ZERO) == SymbolicPoint(F(1, 4), F(0))
-
-    def test_apply_u_map(self):
-        got = apply_map("u", SymbolicPoint(F(1, 4), F(0)))
-        assert got == SymbolicPoint(F(1, 16), F(1, 4))
-
-    def test_apply_requires_single_symbol(self):
-        with pytest.raises(ValueError):
-            apply_map("01", ZERO)
-
     def test_project_examples(self):
         assert project("000") == ZERO
         assert project("1") == SymbolicPoint(F(1, 4), F(0))
@@ -107,9 +93,13 @@ class TestWordsAndMaps:
 
     @given(words)
     def test_project_matches_map_composition(self, w):
+        # The three maps x/4, (x+1)/4 and (x+u)/4 on p + q*u, innermost last.
+        maps = {"0": lambda x: SymbolicPoint(x.p / 4, x.q / 4),
+                "1": lambda x: SymbolicPoint((x.p + 1) / 4, x.q / 4),
+                "u": lambda x: SymbolicPoint(x.p / 4, (x.q + 1) / 4)}
         x = ZERO
         for ch in reversed(w):
-            x = apply_map(ch, x)
+            x = maps[ch](x)
         assert x == project(w)
 
     @given(words)
@@ -245,6 +235,74 @@ class TestWalkPastGate:
         hi = (center.p + ball.radius, center.q)
         want, _ = span_count_oracle(lam, n, lo, hi, 0)
         assert count_in_ball(IFSSystem(lam), n, ball).count == want
+
+
+# Rational u, where the walk compares integer keys.  Under explicit:1,3,7
+# three terms are active, so digit sums carry and distinct words can meet.
+keyed_lams = st.sampled_from(["explicit:2,6,14", "explicit:1,3,7"])
+
+
+def inside_words(lam, n, lo, hi, width) -> list[str]:
+    """Unpruned oracle: the words whose span lies inside [lo, hi], in 0, 1, u order."""
+    u = lam.u_exact()
+    lo, hi = (p + q * u for p, q in (lo, hi))
+    candidates = ("".join(t) for t in itertools.product("01u", repeat=n))
+    return [w for w in candidates
+            if lo <= exact_value(project(w), lam) <= hi - F(width, 4 ** n)]
+
+
+def expand(heads, n) -> list[str]:
+    return [h + "".join(t) for h in heads for t in itertools.product("01u", repeat=n - len(h))]
+
+
+class TestKeyedWalk:
+    # Each end is a projected word shifted by k/3 * 4**-n: q-parts, den 3.
+    @given(desc=keyed_lams, n=st.integers(0, 6), width=st.integers(0, 1),
+           a=st.text(alphabet="01u", max_size=8), b=st.text(alphabet="01u", max_size=8),
+           ka=st.integers(-6, 6), kb=st.integers(-6, 6))
+    # Ends exactly on level points (k = 0) ...
+    @example(desc="explicit:2,6,14", n=2, width=0, a="u1", b="1u", ka=0, kb=0)
+    @example(desc="explicit:1,3,7", n=3, width=1, a="0u", b="u1", ka=0, kb=0)
+    # ... on a cylinder's right end: hi = project("11") tops the cylinder of "10".
+    @example(desc="explicit:2,6,14", n=2, width=1, a="", b="1", ka=0, kb=3)
+    # ... and one third of a grid cell off them.
+    @example(desc="explicit:1,3,7", n=4, width=0, a="u0u", b="1u1", ka=-1, kb=2)
+    @example(desc="explicit:2,6,14", n=0, width=1, a="", b="u", ka=0, kb=1)
+    @settings(max_examples=80, deadline=None)
+    def test_span_matches_brute_force(self, desc, n, width, a, b, ka, kb):
+        lam = make_lacunary(desc)
+        u = lam.u_exact()
+        ends = [(x.p + F(k, 3 * 4 ** n), x.q)
+                for x, k in ((project(a[:n + 2]), ka), (project(b[:n + 2]), kb))]
+        lo, hi = sorted(ends, key=lambda e: e[0] + e[1] * u)
+        heads = []
+        got = count_span(IFSSystem(lam), n, lo, hi, width, heads)
+        assert got == span_count_oracle(lam, n, lo, hi, width)
+        assert count_span(IFSSystem(lam), n, lo, hi, width) == got
+        assert expand(heads, n) == inside_words(lam, n, lo, hi, width)
+
+    # Radii k/3 * 4**-n around a centre with a q-part.
+    @given(desc=keyed_lams, n=st.integers(0, 6), w=st.text(alphabet="01u", max_size=8),
+           k=st.integers(0, 9))
+    @example(desc="explicit:2,6,14", n=2, w="1", k=3)   # hi = project("11")
+    @example(desc="explicit:1,3,7", n=3, w="u1u", k=0)  # a point ball on a level point
+    @settings(max_examples=60, deadline=None)
+    def test_witnesses_match_brute_force(self, desc, n, w, k):
+        lam = make_lacunary(desc)
+        center = project(w[:n + 2])
+        ball = Ball(center, F(k, 3 * 4 ** n))
+        lo = (center.p - ball.radius, center.q)
+        hi = (center.p + ball.radius, center.q)
+        got = count_in_ball(IFSSystem(lam), n, ball, witnesses=True)
+        assert got.witnesses == tuple(inside_words(lam, n, lo, hi, 0))
+        assert got.count == span_count_oracle(lam, n, lo, hi, 0)[0]
+
+    def test_reversed_by_q_part_rejected(self, sys_toy, lam_toy):
+        # u = 1/16 + 4**-6 + 4**-14: only the q-part orders the ends.
+        u, grid = (F(0), F(1)), (F(1, 16), F(0))
+        with pytest.raises(ValueError, match="out of order"):
+            count_span(sys_toy, 2, u, grid, 1)
+        assert count_span(sys_toy, 2, grid, u, 0) == span_count_oracle(lam_toy, 2, grid, u, 0)
 
 
 class TestDistinctPoints:

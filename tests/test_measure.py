@@ -133,6 +133,17 @@ class TestMeasureBounds:
         with pytest.raises(EnumerationCapError):
             measure_bounds(sys_toy, rational_interval(0, 1), 16)
 
+    def test_cap_binds_walks_only(self, sys_paper):
+        # Under paper, n = 20 > enum_cap = 15 is below the grid for [0, 1/4]:
+        # the rank path answers.  An end at 2**-61 puts den*g past 4**27, so
+        # that count would walk, and the cap stops it.
+        mb = measure_bounds(sys_paper, rational_interval(0, F(1, 4)), 20)
+        assert (mb.contained, mb.intersecting) == (2 * 3 ** 19, 2 * 3 ** 19 + 1)
+        with pytest.raises(EnumerationCapError):
+            measure_bounds(sys_paper, rational_interval(0, F(1, 2 ** 61)), 20)
+        with pytest.raises(EnumerationCapError):
+            measure_bounds(sys_paper, rational_interval(0, F(1, 4)), 28)
+
     def test_serialization(self, sys_paper):
         d = measure_bounds(sys_paper, rational_interval(0, F(1, 4)), 1).to_dict()
         assert d == {"n": 1, "contained": 1, "intersecting": 3,
