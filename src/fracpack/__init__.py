@@ -1,8 +1,8 @@
 """Exact-arithmetic toolkit for a base-4 self-similar set whose third map
 translates by a lacunary series u = sum_j 4**(-lam_j).
 
-The library keeps every point in the symbolic form p + q*u with dyadic
-rationals p, q, so set membership, distances and measure bounds are decided
+The library keeps every point in the symbolic form p + q*u with rationals
+p and q >= 0, so set membership, distances and measure bounds are decided
 exactly whenever the sequence permits, and by certified interval enclosures
 otherwise.
 """
@@ -34,7 +34,6 @@ from .ifs import (
 )
 from .codespace import (
     BlockDecomposition,
-    CodeSequence,
     InfluenceRecord,
     InfluenceSummary,
     block_decomposition,

@@ -94,14 +94,14 @@ def _parse_ints(text: str, what: str) -> list[int]:
 
 def cmd_dimension(args, cfg: RunConfig) -> int:
     parts = [p.strip() for p in args.ratios.split(",") if p.strip()]
-    ratios = [parse_rational(p) for p in parts]
-    s = _round15(similarity_dimension(ratios))
+    s = _round15(similarity_dimension(parts))
     # The bare float, unless a flag or the config asks for csv or a file.
     if (args.format is None and args.out is None
             and cfg.format == "json" and not cfg.out_dir):
         sys.stdout.write(f"{s!r}\n")
         return 0
-    payload = {"schema": 1, "ratios": [rational_str(r) for r in ratios], "dimension": s}
+    ratios = [rational_str(parse_rational(p)) for p in parts]
+    payload = {"schema": 1, "ratios": ratios, "dimension": s}
     _emit(args, cfg, payload, [["dimension"], [s]])
     return 0
 
@@ -194,7 +194,7 @@ def cmd_blowup(args, cfg: RunConfig) -> int:
     scale = (2.0 * float(C + 1)) ** S_DIM
     entries = []
     for t in range(args.samples):
-        word = sample_sequence(f"{seed}:cond:{t}", length).word
+        word = sample_sequence(f"{seed}:cond:{t}", length)
         S = influence_count(word, args.j, lam).count
         if S < args.min_successes:
             continue

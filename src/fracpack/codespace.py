@@ -25,50 +25,27 @@ _REJECTED = bytes(range(192, 256))
 _U_BITS, _Z_BITS = str.maketrans("u01", "100"), str.maketrans("0u1", "100")
 
 
-def _derived_rng(seed, *parts) -> random.Random:
-    """Deterministic generator for a master seed plus index parts.
+def sample_sequence(seed, length: int) -> str:
+    """The uniform code word of a seed, drawn to the given length.
 
-    String seeding hashes with SHA-512 under the hood, which is stable
-    across platforms and interpreter versions.
+    The symbols come from random.Random(str(seed)), which seeds by the
+    SHA-512 of the text, stable across platforms and interpreter versions:
+    each is one getrandbits(2) try, rejected when 3, so it is exactly
+    uniform.  Byte 3 of each little-endian 32-bit word of
+    getrandbits(32*need) is an output's top byte, whose top two bits
+    getrandbits(2) returns.  A round draws at most one output per missing
+    symbol, so the generator consumes the stream of one getrandbits(2) per
+    try, and a word is the prefix of every longer word of the same seed.
     """
-    tag = str(seed) + "".join(f":{p}" for p in parts)
-    return random.Random(tag)
-
-
-class CodeSequence:
-    """Lazily extended i.i.d.-uniform code word with reproducible prefixes.
-
-    The same seed always yields the same symbol stream, and extending a
-    sequence never changes previously materialized symbols.
-    """
-
-    def __init__(self, seed, length: int = 0):
-        self.seed = seed
-        self._rng = _derived_rng(seed)
-        self.word = ""
-        if length:
-            self.extend_to(length)
-
-    def extend_to(self, length: int) -> str:
-        """The word, drawn on to the given length.
-
-        Byte 3 of each little-endian 32-bit word of getrandbits(32*need) is
-        an output's top byte, whose top two bits getrandbits(2) returns.  A
-        round draws at most one output per missing symbol, so the generator
-        yields and consumes the stream of one getrandbits(2) per try.
-        """
-        if length < 0:
-            raise ValueError("length must be >= 0")
-        while len(self.word) < length:
-            need = min(length - len(self.word), 1 << 16)
-            raw = self._rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-            self.word += raw[3::4].translate(_TOP_BITS, _REJECTED).decode()
-        return self.word
-
-
-def sample_sequence(seed, length: int) -> CodeSequence:
-    """Fresh uniform code sequence of the given materialized length."""
-    return CodeSequence(seed, length)
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    rng = random.Random(str(seed))
+    word = ""
+    while len(word) < length:
+        need = min(length - len(word), 1 << 16)
+        raw = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        word += raw[3::4].translate(_TOP_BITS, _REJECTED).decode()
+    return word
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .numeric import (
     LacunarySequence,
     SymbolicPoint,
     affine_sign_scaled,
+    parse_rational,
 )
 
 ALPHABET = "01u"
@@ -51,17 +52,23 @@ class IFSSystem:
 def similarity_dimension(ratios) -> float:
     """Solve sum_j r_j**s = 1 for s by bisection.
 
-    The ratios must lie strictly inside (0, 1); the left side is then
-    strictly decreasing in s, so the root is unique.  The bisection runs
-    until the bracket collapses to adjacent floats, so the result is
-    within one ulp of the true root (far below the 1e-12 contract).
+    The ratios are Fractions, or text that parse_rational reads.  Each
+    must lie strictly inside (0, 1), and so must its float; the left side
+    is then strictly decreasing in s, so the root is unique.  The
+    bisection runs until the bracket collapses to adjacent floats, so the
+    result is within one ulp of the true root (far below the 1e-12
+    contract).
     """
-    rs = [float(Fraction(r)) for r in ratios]
+    rs = []
+    for r in ratios:
+        x = parse_rational(r) if isinstance(r, str) else Fraction(r)
+        if not 0 < x < 1:
+            raise ValueError(f"ratio {r} out of (0,1)")
+        rs.append(float(x))
+        if not 0.0 < rs[-1] < 1.0:
+            raise ValueError(f"ratio {r} rounds to the float {rs[-1]}")
     if not rs:
         raise ValueError("need at least one contraction ratio")
-    for r in rs:
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"ratio {r} out of (0,1)")
 
     def f(s: float) -> float:
         return math.fsum(r ** s for r in rs) - 1.0
@@ -195,51 +202,49 @@ def _prefix_walk(n: int, lo: tuple[int, int], hi: tuple[int, int], den: int,
 def _lex_rank(n: int, den: int, X: int, Y: int, strict: bool) -> int:
     """Number of length-n words with (P*den, Q*den) <= (X, Y) in lex order.
 
-    P and Q are a word's partial sums scaled by 4**n: base-4 numbers
-    with digits in {0, 1} on disjoint positions.  With strict, counts
-    (P*den, Q*den) < (X, Y) instead.  Two O(n) digit chains:
+    P and Q are a word's partial sums scaled by 4**n: sums of the
+    weights 4**(n-k) on disjoint positions, the set bits of g.  With
+    strict, counts (P*den, Q*den) < (X, Y) instead.  One digit chain
+    (_sums_at_most) counts, in O(n) steps each:
 
-    - words with P*den < X, i.e. P <= T = (X - 1)//den: walking the
-      positions from the top, a position whose weight w fits in what is
-      left of T may hold 0 or u followed by any of the 3**(positions
-      below) completions, all below T since the lower weights sum to
-      less than w, or hold 1, which takes w from T; a weight that does
-      not fit forces 0 or u and doubles the multiplicity of the prefix;
-    - words with P*den == X, only when X//den is a valid P: their free
-      (digit-0) positions hold 0 or u, and the same walk over those
-      positions counts the Q with Q*den <= Y (or < Y).
+    - the words with P <= (X - 1)//den, where each position adds nothing
+      to P in two ways (0 or u) and has three symbols;
+    - only when X//den is a valid P, the words with that P and
+      Q*den <= Y (or < Y), where each free position of P adds nothing to
+      Q in one way (0) and has two symbols (0 or u).
     """
-    count = 0
-    T = (X - 1) // den
-    if T >= 0:
-        mult = 1
-        w = 4 ** n
-        ways = 3 ** n
-        while w > 1:
-            w //= 4
-            ways //= 3
-            if T >= w:
-                count += 2 * mult * ways
-                T -= w
-            else:
-                mult *= 2
-        count += mult
+    g = ((1 << 2 * n) - 1) // 3
+    count = _sums_at_most((X - 1) // den, g, 2)
     P, r = divmod(X, den)
-    g = (4 ** n - 1) // 3
-    T = (Y - 1) // den if strict else Y // den
-    if r == 0 and 0 <= P and P | g == g and T >= 0:
-        free = g ^ P
-        rest = bin(free).count("1")
-        w = 4 ** n
-        while w > 1:
-            w //= 4
-            if free & w:
-                rest -= 1
-                if T >= w:
-                    count += 1 << rest
-                    T -= w
-        count += 1
+    if r == 0 and P | g == g:  # false for P < 0
+        count += _sums_at_most((Y - 1) // den if strict else Y // den, g ^ P, 1)
     return count
+
+
+def _sums_at_most(T: int, weights: int, skips: int) -> int:
+    """Ways to fill the positions at the set bits of weights with a sum <= T.
+
+    The set bits are powers of 4, so each exceeds the sum of those below
+    it.  A position w adds w in one way or nothing in skips ways.
+    Walking the weights from the top: when w fits in what is left of T,
+    adding nothing leaves any fill of the lower positions below T, and
+    adding w takes w from T; when w does not fit, the position must add
+    nothing.
+    """
+    if T < 0:
+        return 0
+    fills = skips + 1
+    count, ways, rest = 0, 1, fills ** weights.bit_count()
+    while weights:
+        w = 1 << weights.bit_length() - 1
+        weights ^= w
+        rest //= fills
+        if T >= w:
+            count += skips * ways * rest
+            T -= w
+        else:
+            ways *= skips
+    return count + ways
 
 
 def _prefix_word(n: int, m: int, P: int, Q: int) -> str:

@@ -105,10 +105,6 @@ def rational_str(x: Fraction) -> str:
     return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 class LacunarySequence:
     """Strictly increasing exponent sequence with lam_{k+1} >= 2*lam_k + 1.
 
@@ -129,7 +125,6 @@ class LacunarySequence:
         self.materialize_cap = materialize_cap
         self._terms: list[int] = list(terms)
         self._enclosures: dict[int, tuple["IntervalEnclosure", bool, bool]] = {}
-        self._u_ratio: Optional[tuple[int, int]] = None
         self._coarse: Optional[tuple[int, int, int]] = None
         self._truncations: list[tuple[int, int]] = [(0, 0)]
         if kind == "explicit":
@@ -228,22 +223,12 @@ class LacunarySequence:
     def u_is_rational(self) -> bool:
         return self.kind == "explicit"
 
-    def u_ratio(self) -> tuple[int, int]:
-        """Exact u as a cached, reduced (numerator, denominator) pair.
-
-        Only defined for finite explicit sequences.
-        """
-        if self._u_ratio is None:
-            if not self.u_is_rational:
-                raise ValueError("u is irrational for infinite sequence kinds")
-            top = self._terms[-1]
-            u = Fraction(sum(4 ** (top - t) for t in self._terms), 4 ** top)
-            self._u_ratio = (u.numerator, u.denominator)
-        return self._u_ratio
-
     def u_exact(self) -> Fraction:
-        """Exact value of u; only defined for finite explicit sequences."""
-        return Fraction(*self.u_ratio())
+        """Exact u = N/4**L, truncation(0); only for finite explicit sequences."""
+        if not self.u_is_rational:
+            raise ValueError("u is irrational for infinite sequence kinds")
+        L, N, _ = self.truncation(0)
+        return Fraction(N, 4 ** L)
 
     def coarse_u_scale(self) -> tuple[int, int, int]:
         """Integers (lo, hi, K) with lo/K < u < hi/K, cheap to multiply by.
@@ -398,7 +383,13 @@ def _u_enclosure_info(lam: LacunarySequence, J: int) -> tuple[IntervalEnclosure,
 
 @dataclass(frozen=True)
 class SymbolicPoint:
-    """Exact point p + q*u with p, q >= 0 expressible over a power-of-4 denominator."""
+    """Exact point p + q*u with rationals p and q >= 0.
+
+    Any denominators will do: count_span scales both ends of an interval
+    to one.  A nonnegative q keeps every q-difference of a level point
+    and an end within max(g*den, q-parts of the ends), the bound that the
+    rank gate tests.
+    """
 
     p: Fraction
     q: Fraction
@@ -408,12 +399,8 @@ class SymbolicPoint:
             v = getattr(self, name)
             if not isinstance(v, Fraction):
                 object.__setattr__(self, name, Fraction(v))
-                v = getattr(self, name)
-            if v < 0:
-                raise ValueError(f"{name} must be nonnegative")
-            if not _is_pow2(v.denominator):
-                raise ValueError(
-                    f"{name} denominator {v.denominator} is not expressible over a power of 4")
+        if self.q < 0:
+            raise ValueError("q must be nonnegative")
 
     @classmethod
     def zero(cls) -> "SymbolicPoint":
@@ -423,7 +410,8 @@ class SymbolicPoint:
 def affine_sign_scaled(A: int, B: int, lam: LacunarySequence) -> int:
     """Exact sign of A + B*u for integers A, B.
 
-    Rational u is evaluated directly.  Otherwise a cheap cached bound
+    Rational u = N/4**L (truncation(0)) gives the sign of the integer
+    A*4**L + B*N.  Otherwise a cheap cached bound
     pair decides almost every query with two big-integer products; the
     residual cases refine exact enclosures, using the fact that u lies
     strictly between every truncation and its tail bound.  Raises
@@ -433,8 +421,8 @@ def affine_sign_scaled(A: int, B: int, lam: LacunarySequence) -> int:
     if B == 0:
         return _sgn(A)
     if lam.u_is_rational:
-        num, den = lam.u_ratio()
-        return _sgn(A * den + B * num)
+        L, N, _ = lam.truncation(0)
+        return _sgn((A << 2 * L) + B * N)
     lo_n, hi_n, K = lam.coarse_u_scale()
     s_lo = _sgn(A * K + B * lo_n)
     s_hi = _sgn(A * K + B * hi_n)

@@ -344,7 +344,7 @@ def monte_carlo_growth(lam: LacunarySequence, checkpoints, trials: int,
     windows = {j: _windows(j, lam) for j in cps}
     samples: dict[int, list[int]] = {j: [] for j in cps}
     for t in range(trials):
-        pats = _pattern_masks(sample_sequence(f"{seed}:{t}", top).word, terms)
+        pats = _pattern_masks(sample_sequence(f"{seed}:{t}", top), terms)
         for j in cps:
             samples[j].append(sum((pats[k] & mask).bit_count() for k, mask in windows[j]))
     stats = []
@@ -411,7 +411,7 @@ def empirical_X_law(lam: LacunarySequence, j: int, trials: int,
     p = dec.success_probability
     hist: dict[int, int] = {}
     for t in range(trials):
-        word = sample_sequence(f"{seed}:{t}", j).word
+        word = sample_sequence(f"{seed}:{t}", j)
         x = block_success_count(word, dec, lam)
         hist[x] = hist.get(x, 0) + 1
     pmf = binom_pmf(dec.N, p)

@@ -91,7 +91,7 @@ def test_03_perturbation_family(capsys, lam_toy):
     cluster_bound = 3 * F(1, 4 ** j)
     violations = 0
     for t in range(1000):
-        word = sample_sequence(f"{MASTER_SEED}:pert:{t}", L).word
+        word = sample_sequence(f"{MASTER_SEED}:pert:{t}", L)
         full = exact_value(project(word), lam_toy)
         fam = perturbation_family(word, j, lam_toy)
         s_count = influence_count(word, j, lam_toy).count
@@ -120,7 +120,7 @@ def test_04_binomial_law(capsys, lam_toy):
     s_at_most = {0: 0, 1: 0}
     x_at_most = {0: 0, 1: 0}
     for t in range(trials):
-        word = sample_sequence(f"{MASTER_SEED}:{t}", j).word
+        word = sample_sequence(f"{MASTER_SEED}:{t}", j)
         s = influence_count(word, j, lam_toy).count
         x = block_success_count(word, dec, lam_toy)
         for M in (0, 1):
@@ -193,7 +193,7 @@ def test_08_density_mechanism(capsys):
     conditioned = []
     t = 0
     while len(conditioned) < 60 and t < 500:
-        word = sample_sequence(f"{MASTER_SEED}:cond:{t}", L).word
+        word = sample_sequence(f"{MASTER_SEED}:cond:{t}", L)
         if influence_count(word, j, lam).count >= 2:
             conditioned.append(word)
         t += 1

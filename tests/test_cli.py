@@ -11,6 +11,7 @@ import pytest
 
 from fracpack import IFSSystem, density_ratio, make_lacunary, project, sample_sequence
 from fracpack.cli import main
+from conftest import span_count_oracle
 
 
 def run(capsys, *argv):
@@ -31,6 +32,13 @@ class TestDimension:
     def test_bad_ratio_exits_2(self, capsys):
         code, _, err = run(capsys, "dimension", "--ratios", "1.5")
         assert code == 2 and "out of (0,1)" in err
+
+    @pytest.mark.parametrize("ratios", ["1e-400", "1/4,1e-400", "0.99999999999999999999"])
+    def test_ratio_whose_float_rounds_out_exits_2(self, ratios, capsys):
+        # Inside (0, 1) exactly, but the float is 0.0 or 1.0: the input is named.
+        code, out, err = run(capsys, "dimension", "--ratios", ratios)
+        bad = ratios.split(",")[-1]
+        assert code == 2 and out == "" and f"ratio {bad} rounds to the float" in err
 
     @pytest.mark.parametrize("source", ["config", "env"])
     def test_config_format_csv(self, source, capsys, tmp_path, monkeypatch):
@@ -238,7 +246,7 @@ class TestBlowup:
         assert code == 0 and (entry["trial"], entry["S"], entry["count"]) == (19, 2, 5)
         # At C = 1 trial 19's ball holds only its own prefix, not S + 1 = 3 words.
         lam = make_lacunary("explicit:2,6,14,30")
-        word = sample_sequence(f"{0x5EED}:cond:19", 29).word
+        word = sample_sequence(f"{0x5EED}:cond:19", 29)
         assert word == "0uu1u1u10uu111u1110u00u1uu100"
         assert density_ratio(IFSSystem(lam), project(word), 13, Fraction(1)).count == 1
         code, out, err = run(capsys, *argv, "--C", "1")
@@ -284,6 +292,18 @@ class TestMeasurePackBoxcount:
         payload = json.loads(out)
         assert code == 0
         assert (payload["lower"], payload["upper"]) == ("1/3", "1")
+
+    @pytest.mark.parametrize("ends", [("0", "1/3"), ("-1/4", "1/4"), ("-1/3", "-1/5")])
+    def test_measure_any_rational_ends(self, ends, capsys):
+        # Ends need not be dyadic or nonnegative.  A leading "-" needs the
+        # --lo=... form, or argparse reads the value as an option.
+        code, out, _ = run(capsys, "measure", "--lambda", "paper", f"--lo={ends[0]}",
+                           f"--hi={ends[1]}", "--n", "3")
+        payload = json.loads(out)
+        lo, hi = (Fraction(e) for e in ends)
+        want = span_count_oracle(make_lacunary("paper"), 3, (lo, 0), (hi, 0), 1)
+        assert code == 0 and (payload["lo"], payload["hi"]) == ends
+        assert (payload["contained"], payload["intersecting"]) == want
 
     def test_measure_cap_exit_3(self, capsys):
         code, _, err = run(capsys, "measure", "--lambda", "explicit:2,6", "--lo", "0",

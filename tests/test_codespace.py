@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracpack import (
-    CodeSequence,
     InfluenceRecord,
     InfluenceSummary,
     block_decomposition,
@@ -45,48 +44,45 @@ def leader_oracle(w: str, dec, lam) -> int:
 
 
 class TestCodeSequence:
+    """sample_sequence: a seed's word, drawn in bulk from one stream."""
+
     def test_reproducible_from_seed(self):
         a = sample_sequence(MASTER_SEED, 50)
-        b = sample_sequence(MASTER_SEED, 50)
-        assert a.word == b.word and len(a.word) == 50
+        assert a == sample_sequence(MASTER_SEED, 50) and len(a) == 50
 
     def test_extension_preserves_prefix(self):
-        seq = CodeSequence(MASTER_SEED, 10)
-        head = seq.word
-        seq.extend_to(40)
-        assert seq.word[:10] == head
-        assert seq.extend_to(10)[:10] == head
+        head = sample_sequence(MASTER_SEED, 10)
+        assert sample_sequence(MASTER_SEED, 40)[:10] == head
 
     def test_prefix_materializes(self):
-        seq = CodeSequence("fresh")
-        assert len(seq.extend_to(7)) == len(seq.word) == 7
+        assert len(sample_sequence("fresh", 7)) == 7
 
     def test_alphabet(self):
-        seq = sample_sequence(MASTER_SEED, 200)
-        assert set(seq.word) <= set("01u")
+        assert set(sample_sequence(MASTER_SEED, 200)) <= set("01u")
 
     def test_roughly_uniform(self):
-        word = sample_sequence(MASTER_SEED, 3000).word
+        word = sample_sequence(MASTER_SEED, 3000)
         for sym in "01u":
             assert 900 <= word.count(sym) <= 1100
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
-            CodeSequence(MASTER_SEED).extend_to(-1)
+            sample_sequence(MASTER_SEED, -1)
 
-    @given(seed=st.integers(0, 10**6), steps=st.lists(st.integers(0, 300), max_size=4))
-    @example(seed="rej:117", steps=[1, 2, 6])  # the first four outputs are rejected
-    @example(seed=MASTER_SEED, steps=[0])      # empty word
-    @example(seed=MASTER_SEED, steps=[40, 7, 41])  # shorter request, then one more symbol
-    @example(seed=1, steps=[(1 << 16) + 3])    # more than one bulk round
+    @given(seed=st.integers(0, 10**6), lengths=st.lists(st.integers(0, 300), max_size=4))
+    @example(seed="rej:117", lengths=[1, 2, 6])  # the first four outputs are rejected
+    @example(seed=MASTER_SEED, lengths=[0])      # empty word
+    @example(seed=MASTER_SEED, lengths=[40, 7, 41])
+    @example(seed=1, lengths=[(1 << 16) + 3])    # more than one bulk round
     @settings(max_examples=60, deadline=None)
-    def test_bulk_draw_matches_symbol_loop(self, seed, steps):
-        seq, rng, word = CodeSequence(seed), random.Random(str(seed)), ""
-        for length in steps:
-            while len(word) < length:
-                word += draw_symbol_oracle(rng)
-            assert seq.extend_to(length) == seq.word == word
-            assert seq._rng.getstate() == rng.getstate()
+    def test_bulk_draw_matches_symbol_loop(self, seed, lengths):
+        # The reference draws one getrandbits(2) per try, so the words of
+        # one seed share its stream: each is a prefix of every longer one.
+        rng, stream = random.Random(str(seed)), ""
+        for length in lengths:
+            while len(stream) < length:
+                stream += draw_symbol_oracle(rng)
+            assert sample_sequence(seed, length) == stream[:length]
 
 
 class TestInfluence:
@@ -322,9 +318,9 @@ class TestPerturb:
 
 class TestPerturbationFamily:
     def test_cardinality_and_distinctness(self, lam_toy):
-        seq = sample_sequence(f"{MASTER_SEED}:family", 13)
-        fam = perturbation_family(seq.word, 13, lam_toy)
-        s = influence_count(seq.word, 13, lam_toy).count
+        word = sample_sequence(f"{MASTER_SEED}:family", 13)
+        fam = perturbation_family(word, 13, lam_toy)
+        s = influence_count(word, 13, lam_toy).count
         assert len(fam) == s + 1 == len(set(fam))
         assert all(len(member) == 13 for member in fam)
 
@@ -335,7 +331,7 @@ class TestPerturbationFamily:
     @given(seed=st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
     def test_family_members_cluster_near_base(self, seed, lam_toy):
-        word = sample_sequence(f"prop:{seed}", 13).word
+        word = sample_sequence(f"prop:{seed}", 13)
         fam = perturbation_family(word, 13, lam_toy)
         assert len(fam) == len(set(fam))
         base = exact_value(project(fam[0]), lam_toy)

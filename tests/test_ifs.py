@@ -21,7 +21,7 @@ from fracpack import (
     similarity_dimension,
     validate_word,
 )
-from fracpack.ifs import count_span
+from fracpack.ifs import _lex_rank, count_span
 from conftest import exact_value, span_count_oracle, walker_only
 
 ZERO = SymbolicPoint(F(0), F(0))
@@ -192,6 +192,35 @@ class TestCounting:
 # Both keep u irrational; start=12 puts the below-grid gate inside the
 # drawn range (n <= 10, centre words up to n + 6 symbols long).
 gated_lams = st.sampled_from(["paper", "geometric:b=3,start=12"])
+
+
+def level_pq(n):
+    """Scaled (P, Q) of every length-n word: digits 1 and u at weight 4**(n-k)."""
+    return [(sum(4 ** (n - k) for k, ch in enumerate(t, 1) if ch == "1"),
+             sum(4 ** (n - k) for k, ch in enumerate(t, 1) if ch == "u"))
+            for t in itertools.product("01u", repeat=n)]
+
+
+class TestLexRank:
+    # X and Y sit on a word's scaled P and Q (offset 0) or between them;
+    # offsets below -P*den give negative X, and most offsets leave X//den
+    # with a base-4 digit past 1, no word's P.
+    @given(n=st.integers(0, 6), den=st.sampled_from([1, 2, 3, 7]), strict=st.booleans(),
+           a=st.integers(0, 728), b=st.integers(0, 728),
+           dx=st.integers(-15, 15), dy=st.integers(-15, 15))
+    @example(n=0, den=1, strict=True, a=0, b=0, dx=0, dy=0)     # the empty word's own point
+    @example(n=3, den=7, strict=False, a=5, b=5, dx=0, dy=0)    # X, Y on one word
+    @example(n=3, den=3, strict=True, a=0, b=0, dx=-4, dy=0)    # negative X
+    @example(n=2, den=1, strict=False, a=1, b=3, dx=1, dy=-1)   # X//den = 2: no word's P
+    @example(n=6, den=2, strict=True, a=728, b=364, dx=15, dy=-15)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, n, den, strict, a, b, dx, dy):
+        pairs = level_pq(n)
+        X = pairs[a % len(pairs)][0] * den + dx
+        Y = pairs[b % len(pairs)][1] * den + dy
+        want = sum(1 for P, Q in pairs
+                   if (P * den, Q * den) < (X, Y) or (not strict and (P * den, Q * den) == (X, Y)))
+        assert _lex_rank(n, den, X, Y, strict) == want
 
 
 class TestRankPath:

@@ -201,6 +201,25 @@ class TestMeasureBounds:
         want = span_count_oracle(lam, n, (lo.p, lo.q), (hi.p, hi.q), 1)
         assert (mb.contained, mb.intersecting) == want
 
+    # Ends pa/(4*da) + q*u: any denominators, and ends below 0, since
+    # count_span scales both ends to one den.
+    @given(desc=st.sampled_from(["explicit:2,6,14", "explicit:1,3,7", "paper",
+                                 "geometric:b=3,start=1", "geometric:b=3,start=3"]),
+           n=st.integers(0, 5), pa=st.integers(-14, 14), pb=st.integers(-14, 14),
+           da=st.sampled_from([1, 3, 5, 6, 7]), db=st.sampled_from([1, 3, 5, 6, 7]),
+           qa=st.sampled_from([F(0), F(1, 3), F(1)]), qb=st.sampled_from([F(0), F(2, 5)]))
+    @example(desc="paper", n=2, pa=0, pb=4, da=1, db=3, qa=F(0), qb=F(0))        # [0, 1/3]
+    @example(desc="paper", n=2, pa=-4, pb=4, da=3, db=3, qa=F(0), qb=F(0))       # [-1/3, 1/3]
+    @example(desc="explicit:2,6,14", n=3, pa=-7, pb=2, da=7, db=7, qa=F(1), qb=F(0))
+    @settings(max_examples=120, deadline=None)
+    def test_any_rational_ends_match_brute_force(self, desc, n, pa, pb, da, db, qa, qb):
+        lam = make_lacunary(desc)
+        ends = sorted([SymbolicPoint(F(pa, 4 * da), qa), SymbolicPoint(F(pb, 4 * db), qb)],
+                      key=point_order(lam))
+        mb = measure_bounds(IFSSystem(lam), SymbolicInterval(*ends), n)
+        want = span_count_oracle(lam, n, (ends[0].p, ends[0].q), (ends[1].p, ends[1].q), 1)
+        assert (mb.contained, mb.intersecting) == want
+
     @given(a=dyadics, b=dyadics, n=st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
     def test_lower_bound_refines_upward(self, a, b, n, sys_toy):
