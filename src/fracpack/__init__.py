@@ -12,7 +12,6 @@ from .numeric import (
     DEFAULT_MATERIALIZE_CAP,
     EnclosureCapError,
     EnumerationCapError,
-    IntervalEnclosure,
     LacunarySequence,
     SymbolicPoint,
     make_lacunary,

@@ -19,6 +19,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -274,6 +275,11 @@ def _add_common(sub: argparse.ArgumentParser, with_lambda: bool = True) -> None:
                               " | explicit:t1,t2,...")
 
 
+# argparse reads a word after "-" as an option unless it matches this: its own
+# -<digits> and -<digits>.<digits>, or a negative fraction such as -1/4.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after.
@@ -360,6 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=2)
     p.set_defaults(func=cmd_verify)
 
+    for p in (parser, *subs.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -155,7 +155,8 @@ def _prefix_walk(n: int, lo: tuple[int, int], hi: tuple[int, int], den: int,
     and q-part differences, until one exact integer model of u replaces
     them.
     """
-    L, N, keyed = lam.truncation(0)
+    L, N, _ = lam.truncation(0)
+    keyed = lam.u_is_rational
     one, den3 = den << 2 * L, 3 * den
     step_1, step_u = 3 * one, N * den3
     c = (3 * width - 1) * one
@@ -296,8 +297,8 @@ def count_span(sys: IFSSystem, n: int, lo: tuple[Fraction, Fraction],
     # The walk's (key, q) ends.  The key p*4**L + q*N, with N/4**L =
     # truncation(0), is the whole value scaled by 4**L for rational u, so
     # the q-part folds in; for irrational u it is p (L = N = 0).
-    L, N, keyed = lam.truncation(0)
-    lo_key, hi_key = (((p << 2 * L) + q * N, 0 if keyed else q)
+    L, N, _ = lam.truncation(0)
+    lo_key, hi_key = (((p << 2 * L) + q * N, 0 if lam.u_is_rational else q)
                       for p, q in ((LP, LQ), (HP, HQ)))
     if affine_sign_scaled(hi_key[0] - lo_key[0], hi_key[1] - lo_key[1], lam) < 0:
         raise ValueError("interval endpoints out of order")
@@ -360,9 +361,10 @@ def _level_keys(sys: IFSSystem, n: int, keep_q: bool = False):
     u_J = N / 4**L is lam.truncation(g) for the largest q-part g =
     (4**n - 1)//3, so a length-n word at P + Q*u (scaled by 4**n) has
     4**L * (P + Q*u) = V + theta with the integer V = P*4**L + Q*N and
-    0 <= theta < 1 (0 for rational u, exact, or Q = 0): the int order of
-    (V << shift) | Q is value order, and for exact u, V is the value.
-    Returns (L, N, exact, shift, levels); levels yields the keys of levels
+    0 <= theta < 1 (0 for rational u or Q = 0): the int order of
+    (V << shift) | Q is value order, and for rational u, V is the value.
+    Returns (L, N, T, shift, levels), with T = lam_{J+1} the truncation's
+    tail exponent (None for rational u); levels yields the keys of levels
     0..n, level k adding the digit 0, 1 or u at weight 4**(n-k) to level
     k-1.  A level-k word stands for its zero-padded length-n word, the
     same point, so its level-k cell floor(4**k * x) is V >> 2*(L + n - k).
@@ -383,7 +385,8 @@ def _level_keys(sys: IFSSystem, n: int, keep_q: bool = False):
     if t is None:
         raise EnclosureCapError(
             f"level {n} needs a truncation of u past the materialization cap")
-    L, N, exact = t
+    L, N, T = t
+    exact = sys.lam.u_is_rational
     shift = 2 * n if keep_q and not exact else 0
     one, u = 1 << 2 * L + shift, (N << shift) | (shift > 0)
 
@@ -405,7 +408,7 @@ def _level_keys(sys: IFSSystem, n: int, keep_q: bool = False):
                 keys = (v + d for v in keys for d in digits)
             yield keys
 
-    return L, N, exact, shift, levels()
+    return L, N, T, shift, levels()
 
 
 def distinct_level_points(sys: IFSSystem, n: int) -> int:

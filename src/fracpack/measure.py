@@ -232,23 +232,24 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
     dnum*4**L and 0 < u - u_J < (4/3)*4**-lam_{J+1} (0 for rational u).
     So X <= -dden rejects: each accepted key bisects past those keys.  X's
     sign decides (dQ's if X == 0) unless X and dQ differ in sign and
-    3*|X|*4**m < 4*|dQ|*dden, m = lam_{J+1} - L: affine_sign_scaled does.
-    An X < 0 that decides for the largest |dQ| bisects past its V's block.
+    3*|X|*4**m < 4*|dQ|*dden, m = T - L for the tail exponent T = lam_{J+1}
+    from _level_keys: affine_sign_scaled does.  An X < 0 that decides
+    for the largest |dQ| bisects past its V's block.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    L, N, exact, shift, levels = _level_keys(sys, n, keep_q=True)
+    L, N, T, shift, levels = _level_keys(sys, n, keep_q=True)
     for keys in levels:
         pass
     mask = (1 << shift) - 1
     dnum, dden = (delta * 4 ** n).as_integer_ratio()
     gap = dnum << 2 * L
+    lam, exact = sys.lam, sys.lam.u_is_rational
     step = gap // dden + exact  # first dV with X > 0 (exact u) or X > -dden
-    lam = sys.lam
     if not exact:
         # Either m gives 3 * 4**m >= 4*|dQ|, so X >= dden always decides.
-        m = min(lam.term(lam.window_index(L + 1) + 1) - L, shift + dden.bit_length())
+        m = min(T - L, shift + dden.bit_length())
         reach = 4 * (mask // 3) * dden  # 4*|dQ|*dden at the largest |dQ|
     accepted = i = 0
     while i < len(keys):

@@ -5,10 +5,12 @@ sequence lam_1 < lam_2 < ... subject to the growth gate
 lam_{k+1} >= 2*lam_k + 1.  For the built-in infinite families the series
 is non-terminating and u has a non-periodic base-4 expansion, hence is
 irrational; a point is then uniquely determined by the rational pair
-(p, q).  Finite explicit sequences make u rational and comparisons fall
-back to exact evaluation.
+(p, q).  Finite explicit sequences make u rational: u is its full
+truncation N/4**L, and a sign test is one integer comparison.
 
-All interval endpoints are exact rationals.  Powers 4**(-lam) are never
+u's partial sums are stored once, as the integer rows (lam_J, N_J) of
+LacunarySequence._partial_sum; truncation and the sign test's rational
+enclosures are both read from them.  Powers 4**(-lam) are never
 materialized for exponents above a configurable cap (default 10**6);
 enclosures are clamped instead, which only widens them and never breaks
 soundness.
@@ -124,7 +126,7 @@ class LacunarySequence:
         self.start = start
         self.materialize_cap = materialize_cap
         self._terms: list[int] = list(terms)
-        self._enclosures: dict[int, tuple["IntervalEnclosure", bool, bool]] = {}
+        self._enclosures: dict[int, tuple[Fraction, Fraction, bool, bool]] = {}
         self._coarse: Optional[tuple[int, int, int]] = None
         self._truncations: list[tuple[int, int]] = [(0, 0)]
         if kind == "explicit":
@@ -244,32 +246,45 @@ class LacunarySequence:
                 self._coarse = (0, 4, 3 * 4 ** self.materialize_cap)
         return self._coarse
 
-    def truncation(self, q: int) -> Optional[tuple[int, int, bool]]:
-        """(L, N, exact): u truncated after J terms is N / 4**L, L = lam_J.
+    def _partial_sum(self, J: int) -> tuple[int, int, int]:
+        """(depth, L, N): u truncated after depth terms is N / 4**L, L = lam_depth.
 
-        Rational u keeps every term (exact).  Irrational u takes the
-        smallest J with 4*q*4**L <= 3*4**lam_{J+1}; since u - u_J < (4/3) *
-        4**-lam_{J+1}, every P + Q*u with 0 <= Q <= q then has 4**L *
-        (P + Q*u) = V + theta with the integer V = P*4**L + Q*N and 0 <=
-        theta < 1, zero only at Q = 0: value order is (V, Q) order and
-        floor(P + Q*u) = V >> 2L.  None when that J has L past the cap.
+        The one store of u's partial sums: row j is (lam_j, N_j), with
+        N_j = N_{j-1} * 4**(lam_j - lam_{j-1}) + 1.  depth is J unless
+        the list ends first (explicit kinds) or term depth + 1 lies past
+        the materialization cap.
         """
-        cap = self.materialize_cap
-        J = len(self._terms) if self.u_is_rational else 0
+        rows = self._truncations
+        while len(rows) <= J:
+            t = self.term_or_none(len(rows))
+            if t is None or t > self.materialize_cap:
+                break
+            L, N = rows[-1]
+            rows.append((t, (N << 2 * (t - L)) | 1))
+        depth = min(J, len(rows) - 1)
+        return (depth, *rows[depth])
+
+    def truncation(self, q: int) -> Optional[tuple[int, int, Optional[int]]]:
+        """(L, N, T): u truncated after J terms is N / 4**L, L = lam_J.
+
+        Rational u keeps every term, and T is None.  Irrational u takes
+        the smallest J with 4*q*4**L <= 3*4**T, T = lam_{J+1}; since u -
+        u_J < (4/3) * 4**-T, every P + Q*u with 0 <= Q <= q then has
+        4**L * (P + Q*u) = V + theta with the integer V = P*4**L + Q*N
+        and 0 <= theta < 1, zero only at Q = 0: value order is (V, Q)
+        order and floor(P + Q*u) = V >> 2L.  T is only compared as an
+        exponent, so it may lie past the cap.  None when that J has L
+        past the cap.
+        """
+        J = self.length or 0
         while True:
-            while len(self._truncations) <= J:
-                L, N = self._truncations[-1]
-                t = self.term(len(self._truncations))
-                if t > cap:
-                    return None
-                self._truncations.append((t, (N << 2 * (t - L)) | 1))
-            L, N = self._truncations[J]
-            if self.u_is_rational:
-                return L, N, True
+            depth, L, N = self._partial_sum(J)
+            if depth < J:
+                return None
+            T = self.term_or_none(J + 1)
             # 4*q <= 3 * 4**m; past m = q.bit_length() it holds anyway.
-            m = min(self.term(J + 1) - L, q.bit_length())
-            if 4 * q <= 3 << 2 * m:
-                return L, N, False
+            if T is None or 4 * q <= 3 << 2 * min(T - L, q.bit_length()):
+                return L, N, T
             J += 1
 
     def below_grid(self, q: int) -> bool:
@@ -324,59 +339,30 @@ def make_lacunary(descriptor: str,
     raise ValueError(f"unknown sequence descriptor {descriptor!r}")
 
 
-@dataclass(frozen=True)
-class IntervalEnclosure:
-    """Closed rational interval [lo, hi] guaranteed to contain a target value."""
+def _u_enclosure_info(lam: LacunarySequence,
+                      J: int) -> tuple[Fraction, Fraction, bool, bool]:
+    """(lo, hi, exact, capped) for u truncated after J terms.
 
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("enclosure endpoints out of order")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-
-def _u_enclosure_info(lam: LacunarySequence, J: int) -> tuple[IntervalEnclosure, bool, bool]:
-    """(enclosure, exact, capped) for u truncated after J terms.
-
-    The true u satisfies lo <= u <= hi with lo = sum_{j<=J} 4**(-lam_j)
-    and hi = lo + (4/3) * 4**(-lam_{J+1}); membership is strict on both
-    sides for infinite kinds.  Tail exponents above the materialization
-    cap are clamped, which only widens the interval.  exact means
-    lo == hi == u (explicit kinds with J >= length).  capped means the
-    cap limited the depth or the tail exponent, so no further refinement
-    is possible.
+    lo = N / 4**L is the row lam._partial_sum(J) and hi = lo + (4/3) *
+    4**(-lam_{depth+1}), so lo <= u <= hi, strictly on both sides for
+    infinite kinds.  A tail exponent above the materialization cap is
+    clamped, which only widens the interval.  exact means lo == hi == u
+    (explicit kinds with J >= length).  capped means the cap limited the
+    depth or the tail exponent, so no further refinement is possible.
     """
     if J < 0:
         raise ValueError("truncation depth must be >= 0")
     cached = lam._enclosures.get(J)
     if cached is not None:
         return cached
-    cap = lam.materialize_cap
-    lo = Fraction(0)
-    depth = 0
-    capped = False
-    for j in range(1, J + 1):
-        t = lam.term_or_none(j)
-        if t is None:
-            break
-        if t > cap:
-            capped = True
-            break
-        lo += Fraction(1, 4 ** t)
-        depth = j
+    depth, L, N = lam._partial_sum(J)
+    lo = Fraction(N, 4 ** L)
     nxt = lam.term_or_none(depth + 1)
     if nxt is None:
-        result = (IntervalEnclosure(lo, lo), True, False)
+        result = (lo, lo, True, False)
     else:
-        e = min(nxt, cap)
-        capped = capped or (nxt > cap)
-        hi = lo + Fraction(4, 3 * 4 ** e)
-        result = (IntervalEnclosure(lo, hi), False, capped)
+        cap = lam.materialize_cap
+        result = (lo, lo + Fraction(4, 3 * 4 ** min(nxt, cap)), False, nxt > cap)
     lam._enclosures[J] = result
     return result
 
@@ -402,10 +388,6 @@ class SymbolicPoint:
         if self.q < 0:
             raise ValueError("q must be nonnegative")
 
-    @classmethod
-    def zero(cls) -> "SymbolicPoint":
-        return cls(Fraction(0), Fraction(0))
-
 
 def affine_sign_scaled(A: int, B: int, lam: LacunarySequence) -> int:
     """Exact sign of A + B*u for integers A, B.
@@ -413,8 +395,9 @@ def affine_sign_scaled(A: int, B: int, lam: LacunarySequence) -> int:
     Rational u = N/4**L (truncation(0)) gives the sign of the integer
     A*4**L + B*N.  Otherwise a cheap cached bound
     pair decides almost every query with two big-integer products; the
-    residual cases refine exact enclosures, using the fact that u lies
-    strictly between every truncation and its tail bound.  Raises
+    residual cases refine the enclosures _u_enclosure_info reads off the
+    truncation rows, using the fact that u lies strictly between every
+    truncation and its tail bound.  Raises
     EnclosureCapError if the sign is still ambiguous at the cap (only
     possible for inputs within 4**(-cap) of u itself).
     """
@@ -434,9 +417,9 @@ def affine_sign_scaled(A: int, B: int, lam: LacunarySequence) -> int:
         return -_sgn(B)  # u is strictly below the upper coarse bound
     J = 1
     while True:
-        enc, exact, capped = _u_enclosure_info(lam, J)
-        at_lo = A + B * enc.lo
-        at_hi = A + B * enc.hi
+        lo, hi, exact, capped = _u_enclosure_info(lam, J)
+        at_lo = A + B * lo
+        at_hi = A + B * hi
         if at_lo == 0:
             return _sgn(B)   # -A/B is exactly the truncation; the tail decides
         if at_hi == 0:

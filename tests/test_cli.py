@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from fracpack import IFSSystem, density_ratio, make_lacunary, project, sample_sequence
-from fracpack.cli import main
+from fracpack.cli import build_parser, main
 from conftest import span_count_oracle
 
 
@@ -295,8 +295,7 @@ class TestMeasurePackBoxcount:
 
     @pytest.mark.parametrize("ends", [("0", "1/3"), ("-1/4", "1/4"), ("-1/3", "-1/5")])
     def test_measure_any_rational_ends(self, ends, capsys):
-        # Ends need not be dyadic or nonnegative.  A leading "-" needs the
-        # --lo=... form, or argparse reads the value as an option.
+        # Ends need not be dyadic or nonnegative.
         code, out, _ = run(capsys, "measure", "--lambda", "paper", f"--lo={ends[0]}",
                            f"--hi={ends[1]}", "--n", "3")
         payload = json.loads(out)
@@ -447,6 +446,48 @@ class TestConfigResolution:
         lam = () if argv[0] == "dimension" else ("--lambda", "explicit:2,6")
         code, _, err = run(capsys, *argv, *lam)
         assert code == 2 and "zero denominator" in err
+
+
+class TestNegativeValues:
+    """A bare negative fraction after an option is its value, not an option."""
+
+    def test_every_subparser_reads_fractions(self):
+        subs = build_parser()._subparsers._group_actions[0].choices
+        for parser in (build_parser(), *subs.values()):
+            matcher = parser._negative_number_matcher
+            assert all(matcher.match(v) for v in ("-1/4", "-1", "-0.25", "-.5"))
+            assert not matcher.match("-1/") and not matcher.match("--lo")
+
+    @pytest.mark.parametrize("bare, joined", [
+        (("--lo", "-1/4", "--hi", "1/4"), ("--lo=-1/4", "--hi=1/4")),
+        (("--lo", "-0.25", "--hi", "1/4"), ("--lo=-1/4", "--hi=1/4")),
+    ])
+    def test_lo(self, bare, joined, capsys):
+        base = ("measure", "--lambda", "paper", "--n", "2")
+        code, out, _ = run(capsys, *base, *bare)
+        assert (code, out) == run(capsys, *base, *joined)[:2] and code == 0
+
+    def test_hi(self, capsys):
+        base = ("measure", "--lambda", "paper", "--n", "3", "--lo=-1/3")
+        code, out, _ = run(capsys, *base, "--hi", "-1/5")
+        assert (code, out) == run(capsys, *base, "--hi=-1/5")[:2] and code == 0
+        assert json.loads(out)["hi"] == "-1/5"
+
+    @pytest.mark.parametrize("C", ["-1/2", "-1"])
+    def test_C(self, C, capsys):
+        code, _, err = run(capsys, "count", "--lambda", "paper", "--n", "2",
+                           "--center", "0", "--C", C)
+        assert code == 2 and err == "error: radius must be nonnegative\n"
+
+    def test_delta(self, capsys):
+        code, _, err = run(capsys, "pack", "--lambda", "paper", "--n", "2",
+                           "--delta", "-1/4")
+        assert code == 2 and err == "error: delta must be positive\n"
+
+    def test_negative_int_still_parses(self, capsys):
+        code, _, err = run(capsys, "count", "--lambda", "paper", "--n", "-1",
+                           "--center", "0")
+        assert code == 2 and err == "error: depth must be >= 0\n"
 
 
 ALL_COMMANDS = [

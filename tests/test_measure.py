@@ -74,8 +74,8 @@ def sign_test_oracle(lam, n, delta):
     def floor(P, Q):
         J = 1
         while Q:
-            enc = _u_enclosure_info(lam, J)[0]
-            lo, hi = (Q * e.numerator // e.denominator for e in (enc.lo, enc.hi))
+            lo, hi = (Q * e.numerator // e.denominator
+                      for e in _u_enclosure_info(lam, J)[:2])
             if lo == hi:
                 return P + lo
             J += 1

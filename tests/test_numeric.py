@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracpack.numeric import (
+    DEFAULT_MATERIALIZE_CAP,
     CapError,
     EnclosureCapError,
-    IntervalEnclosure,
     LacunarySequence,
     SymbolicPoint,
     _u_enclosure_info,
@@ -130,39 +130,110 @@ class TestLacunarySequence:
             lam_paper.u_exact()
 
 
+def resummed_enclosure(lam, J):
+    """(lo, hi, exact, capped) by re-adding 4**-lam_j term by term.
+
+    A Fraction model of u independent of the truncation rows: the oracle
+    that _u_enclosure_info's view of the rows must match.
+    """
+    cap = lam.materialize_cap
+    lo = F(0)
+    depth = 0
+    capped = False
+    for j in range(1, J + 1):
+        t = lam.term_or_none(j)
+        if t is None:
+            break
+        if t > cap:
+            capped = True
+            break
+        lo += F(1, 4 ** t)
+        depth = j
+    nxt = lam.term_or_none(depth + 1)
+    if nxt is None:
+        return lo, lo, True, False
+    return lo, lo + F(4, 3 * 4 ** min(nxt, cap)), False, capped or nxt > cap
+
+
+@st.composite
+def capped_sequences(draw):
+    """A sequence under the default cap or caps 7 and 30; explicit terms fit it."""
+    cap = draw(st.sampled_from([DEFAULT_MATERIALIZE_CAP, 7, 30]))
+    desc = draw(st.sampled_from(["explicit", "geometric:b=3,start=1",
+                                 "geometric:b=3,start=3", "geometric:b=3,start=5",
+                                 "paper"]))
+    if desc == "explicit":
+        return LacunarySequence.explicit(
+            [t for t in draw(lacunary_terms()) if t <= cap], cap)
+    return make_lacunary(desc, cap)
+
+
 class TestEnclosures:
     def test_enclosure_contains_exact_u(self):
         lam = make_lacunary("explicit:2,6,14")
         u = lam.u_exact()
         for J in range(0, 4):
-            enc = _u_enclosure_info(lam, J)[0]
-            assert enc.lo <= u <= enc.hi
+            lo, hi, _, _ = _u_enclosure_info(lam, J)
+            assert lo <= u <= hi
 
     def test_enclosure_tail_is_strict(self):
         # The tail sum_{j>J} 4**-lam_j stays strictly below (4/3)*4**-lam_{J+1}.
         lam = make_lacunary("explicit:2,6,14")
         u = lam.u_exact()
         for J in range(0, 3):
-            enc = _u_enclosure_info(lam, J)[0]
-            assert enc.lo < u if J < 3 else enc.lo == u
-            assert u < enc.hi
+            lo, hi, _, _ = _u_enclosure_info(lam, J)
+            assert lo < u if J < 3 else lo == u
+            assert u < hi
 
     @given(lacunary_terms())
     def test_enclosures_nest(self, terms):
         lam = LacunarySequence.explicit(terms)
-        prev = _u_enclosure_info(lam, 0)[0]
+        prev = _u_enclosure_info(lam, 0)
         for J in range(1, len(terms) + 1):
-            enc = _u_enclosure_info(lam, J)[0]
-            assert prev.lo <= enc.lo and enc.hi <= prev.hi
+            enc = _u_enclosure_info(lam, J)
+            assert prev[0] <= enc[0] and enc[1] <= prev[1]
             prev = enc
 
     def test_enclosure_width_bound(self, lam_paper):
-        enc = _u_enclosure_info(lam_paper, 1)[0]
-        assert enc.width <= F(4, 3) * F(1, 4) ** 19683
+        lo, hi, _, _ = _u_enclosure_info(lam_paper, 1)
+        assert hi - lo <= F(4, 3) * F(1, 4) ** 19683
 
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            IntervalEnclosure(F(1), F(0))
+    @settings(max_examples=60, deadline=None)
+    @given(capped_sequences(), st.integers(0, 6))
+    # Depth stopped by the cap: lam_2 = 15 > 7 ends the sum after lam_1.
+    @example(make_lacunary("geometric:b=3,start=5", 7), 2)
+    # Full depth, but the next term lam_2 = 15 lies past the cap of 7.
+    @example(make_lacunary("geometric:b=3,start=5", 7), 1)
+    # A term equal to the cap is materialized: neither capped.
+    @example(LacunarySequence.explicit([3, 7], 7), 1)
+    @example(LacunarySequence.explicit([3, 7], 7), 2)
+    def test_matches_resummation(self, lam, J):
+        assert _u_enclosure_info(lam, J) == resummed_enclosure(lam, J)
+
+    @given(st.sampled_from(["explicit:2,6,14", "geometric:b=3,start=1",
+                            "geometric:b=3,start=5", "paper"]),
+           st.integers(0, 4 ** 40))
+    def test_view_of_truncation(self, desc, q):
+        # The enclosure at the truncation's depth starts at its N / 4**L.
+        lam = make_lacunary(desc)
+        L, N, _ = lam.truncation(q)
+        J = len(lam.terms_below(L + 1))
+        assert _u_enclosure_info(lam, J)[0] == F(N, 4 ** L)
+
+
+class TestTruncation:
+    def test_tail_exponent_under_cap(self):
+        lam = make_lacunary("geometric:b=3,start=5", 7)
+        assert lam.truncation(100) == (0, 0, 5)
+        # T = lam_2 = 15 is only compared as an exponent: past the cap is fine.
+        assert lam.truncation(10 ** 4) == (5, 1, 15)
+        assert lam.truncation(10 ** 7) is None
+
+    @given(lacunary_terms(), st.integers(0, 4 ** 40))
+    def test_rational_has_no_tail(self, terms, q):
+        lam = LacunarySequence.explicit(terms)
+        L, N, T = lam.truncation(q)
+        assert T is None and F(N, 4 ** L) == lam.u_exact()
 
 
 class TestSymbolicPoint:
@@ -170,10 +241,6 @@ class TestSymbolicPoint:
         SymbolicPoint(F(1, 4), F(3, 8))
         with pytest.raises(ValueError):
             SymbolicPoint(F(1, 4), F(-1, 4))
-
-    def test_zero(self):
-        z = SymbolicPoint.zero()
-        assert (z.p, z.q) == (0, 0)
 
 
 class TestAffineSign:
