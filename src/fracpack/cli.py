@@ -110,15 +110,15 @@ def cmd_dimension(args, cfg: RunConfig) -> int:
 def cmd_count(args, cfg: RunConfig) -> int:
     system = _system(args, cfg)
     center = project(args.center)
-    radius = parse_rational(args.C) * Fraction(1, 4) ** args.n
-    result = count_in_ball(system, args.n, Ball(center, radius),
+    C = parse_rational(args.C)
+    result = count_in_ball(system, args.n, Ball(center, C * Fraction(1, 4) ** args.n),
                            witnesses=args.witnesses)
     payload = {
         "schema": 1,
         "lambda": system.lam.descriptor(),
         "n": args.n,
         "center": args.center,
-        "C": rational_str(parse_rational(args.C)),
+        "C": rational_str(C),
         "count": result.count,
     }
     rows = [["count"], [result.count]]
@@ -280,11 +280,18 @@ def _add_common(sub: argparse.ArgumentParser, with_lambda: bool = True) -> None:
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after.
+    """The top-level argument parser; see _parsers."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommands' parsers by name, built on
+    the first call and reused after.
 
     --lambda, --format and --seed default to None; the config fills them.
+    Each subcommand's parser sets command to its own name.
     """
     parser = argparse.ArgumentParser(
         prog="fracpack",
@@ -366,15 +373,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=2)
     p.set_defaults(func=cmd_verify)
 
-    for p in (parser, *subs.choices.values()):
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
+    for name, p in subs.choices.items():
         p._negative_number_matcher = _NEGATIVE_NUMBER
-    return parser
+        p.set_defaults(command=name)
+    return parser, subs.choices
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with one parser reading argv.
+
+    When argv[0] names a subcommand, its parser alone reads argv[1:], as
+    the top-level parser would hand them over.  No arguments, a help
+    flag, an unknown command and arguments left over all go to the
+    top-level parser, so its messages stay the same: leftovers read
+    "fracpack: error: unrecognized arguments: ...".
+    """
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         return args.func(args, resolve_config(args.config))
     except SystemExit as exc:
         code = exc.code

@@ -142,18 +142,22 @@ def _prefix_walk(n: int, lo: tuple[int, int], hi: tuple[int, int], den: int,
     without descending, and a leaf crossing an endpoint is yielded as
     (m, K, Q, False); other nodes split into their 0, 1 and u children.
     Nodes come out in depth-first 0, 1, u order, from an explicit stack,
-    so the depth is not limited by the interpreter's recursion limit.  A
-    pending child is stacked as its parent's K and Q and its digit.
+    so the depth is not limited by the interpreter's recursion limit.
+    Children take the miss test when their parent splits; the inside test
+    runs when a node is visited.  Of the children that pass, the first in
+    0, 1, u order is visited at once, and only the others are stacked,
+    each as its own (m, K, Q).  So a walk down one narrow path of the
+    tree holds a node per depth only where a sibling survives.
 
     A child adds its digit's step to K, 3*4**L*den for a 1 and 3*N*den
-    for a u, shifted to its weight: no multiplication per node.  The
-    factor 3 makes the hull a shift as well: 3*(g + width)*4**L*den =
-    (4**L*den << 2*(n-m)) + c with c = (3*width - 1)*4**L*den, and c moves
-    onto the ends.  For rational u the prune, inside and leaf tests
-    compare K and the hull top with the ends' keys as plain integers.
-    For irrational u each test is an affine_sign_scaled call on the key
-    and q-part differences, until one exact integer model of u replaces
-    them.
+    for a u (0 when u is irrational), shifted to its weight once per
+    split: no multiplication per node.  The factor 3 makes the hull a
+    shift as well: 3*(g + width)*4**L*den = (4**L*den << 2*(n-m)) + c
+    with c = (3*width - 1)*4**L*den, and c moves onto the ends.  For
+    rational u the miss and inside tests compare K and the hull top with
+    the ends' keys as plain integers.  For irrational u each test is an
+    affine_sign_scaled call on the key and q-part differences, until one
+    exact integer model of u replaces them.
     """
     L, N, _ = lam.truncation(0)
     keyed = lam.u_is_rational
@@ -163,41 +167,48 @@ def _prefix_walk(n: int, lo: tuple[int, int], hi: tuple[int, int], den: int,
     LK, HK = 3 * lo[0], 3 * hi[0]
     LT, HT = LK - c, HK - c  # the hull top is compared with these
     LQ, HQ = 3 * lo[1], 3 * hi[1]
-    stack = [(0, 0, 0, "0")]
-    while stack:
-        m, K, Q, digit = stack.pop()
-        s = 2 * (n - m)
-        if digit == "1":
-            K += step_1 << s
-        elif digit == "u":
-            Q += 1 << s
+    stack = []
+    # The root enters as the one child of no parent.  Children come in
+    # u, 1, 0 order: the last that survives (the 0 child when it does) is
+    # visited at once, and the others wait on the stack.
+    m, s, kids = 0, 2 * n, ((0, 0),)
+    top = one << s
+    while True:
+        found = False
+        for k, q in kids:
+            # Span minimum above hi, or maximum below lo: prune.
             if keyed:
-                K += step_u << s
-        T = K + (one << s)
-        # Span minimum above hi, or maximum below lo: prune.
+                if k > HK or k + top < LT:
+                    continue
+            else:
+                b = q * den3
+                if (affine_sign_scaled(k - HK, b - HQ, lam) > 0
+                        or affine_sign_scaled(k + top - LT, b - LQ, lam) < 0):
+                    continue
+            if found:
+                stack.append((m, K, Q))
+            K, Q, found = k, q, True
+        if not found:
+            if not stack:
+                return
+            m, K, Q = stack.pop()
+            s = 2 * (n - m)
+            top = one << s
+        T = K + top
         if keyed:
-            if K > HK or T < LT:
-                continue
             whole = K >= LK and T <= HT
         else:
             b = Q * den3
-            if affine_sign_scaled(K - HK, b - HQ, lam) > 0:
-                continue
-            if affine_sign_scaled(T - LT, b - LQ, lam) < 0:
-                continue
             # A point span that is not missed is inside; skip the two tests.
             whole = (not (s or width)
                      or (affine_sign_scaled(K - LK, b - LQ, lam) >= 0
                          and affine_sign_scaled(T - HT, b - HQ, lam) <= 0))
-        if whole:
-            yield m, K, Q, True
-        elif m == n:
-            yield m, K, Q, False
+        if whole or m == n:
+            yield m, K, Q, whole
+            kids = ()
         else:
-            m += 1
-            stack.append((m, K, Q, "u"))
-            stack.append((m, K, Q, "1"))
-            stack.append((m, K, Q, "0"))
+            m, s, top = m + 1, s - 2, top >> 2
+            kids = ((K + (step_u << s), Q + (1 << s)), (K + (step_1 << s), Q), (K, Q))
 
 
 def _lex_rank(n: int, den: int, X: int, Y: int, strict: bool) -> int:
@@ -263,13 +274,14 @@ def count_span(sys: IFSSystem, n: int, lo: tuple[Fraction, Fraction],
                capped: bool = False) -> tuple[int, int]:
     """(inside, meeting): length-n words whose span lies inside, or meets, [lo, hi].
 
-    The ends are (p, q) pairs standing for p + q*u.  A word at x spans
-    [x, x + width*4**-n]: width 0 is a point (a ball count), width 1 its
-    level-n cylinder.  Scaled by 4**n, the descendants of a depth-m
-    prefix at P + Q*u lie in [P + Q*u, P + g + width + Q*u] with
+    The ends are (p, q) pairs of rationals standing for p + q*u.  A word
+    at x spans [x, x + width*4**-n]: width 0 is a point (a ball count),
+    width 1 its level-n cylinder.  Scaled by 4**n, the descendants of a
+    depth-m prefix at P + Q*u lie in [P + Q*u, P + g + width + Q*u] with
     g = (4**(n-m) - 1)//3, the walk's hull: as 0 < u < 1, a digit adds
-    at most its weight.  This is the one place that chooses between the
-    O(n) rank and the prefix walk.
+    at most its weight.  One lcm puts the four parts over one
+    denominator, and _count_scaled, the one place that chooses between
+    the O(n) rank and the prefix walk, counts on their numerators.
 
     When lam.below_grid(max(g*den at the root, q-parts of the ends)) and
     no list is asked for, value order is lexicographic (P, Q) order, so a
@@ -285,15 +297,32 @@ def count_span(sys: IFSSystem, n: int, lo: tuple[Fraction, Fraction],
     As the gate needs irrational u and n <= lam_1, a capped count that
     fails those stops before it scales by 4**n.
     """
+    ends = (*lo, *hi)
+    den = math.lcm(*(x.denominator for x in ends))
+    return _count_scaled(sys, n, [x.numerator * (den // x.denominator) for x in ends],
+                         den, width, accepted, capped)
+
+
+def _count_scaled(sys: IFSSystem, n: int, ends: list[int], den: int, width: int,
+                  accepted: Optional[list[str]], capped: bool) -> tuple[int, int]:
+    """count_span on integer ends: [lo_p, lo_q, hi_p, hi_q] over any den > 0.
+
+    Scaling by 4**n shifts each numerator left by 2n, and one gcd with den
+    reduces them: den // gcd(den, scaled numerators) is the lcm of the
+    scaled parts' own denominators, as at every prime p both have the
+    exponent v_p(den) - min(v_p(den), v_p of each numerator).  The rank
+    gate reads that reduced den; an unreduced one could shut the gate and
+    send the count down the walk.
+    """
     lam = sys.lam
     capped = capped and n > sys.enumeration_cap
     depth_cap = f"level {n} exceeds enumeration cap {sys.enumeration_cap}"
     if capped and (lam.u_is_rational or n > lam.term(1)):
         raise EnumerationCapError(depth_cap)
-    scale = 4 ** n
-    ends = [x * scale for x in (*lo, *hi)]
-    den = math.lcm(*(x.denominator for x in ends))
-    LP, LQ, HP, HQ = (x.numerator * (den // x.denominator) for x in ends)
+    ends = [x << 2 * n for x in ends]
+    g = math.gcd(den, *ends)
+    den //= g
+    LP, LQ, HP, HQ = (x // g for x in ends)
     # The walk's (key, q) ends.  The key p*4**L + q*N, with N/4**L =
     # truncation(0), is the whole value scaled by 4**L for rational u, so
     # the q-part folds in; for irrational u it is p (L = N = 0).
@@ -302,7 +331,7 @@ def count_span(sys: IFSSystem, n: int, lo: tuple[Fraction, Fraction],
                       for p, q in ((LP, LQ), (HP, HQ)))
     if affine_sign_scaled(hi_key[0] - lo_key[0], hi_key[1] - lo_key[1], lam) < 0:
         raise ValueError("interval endpoints out of order")
-    if accepted is None and lam.below_grid(max((scale - 1) // 3 * den, LQ, HQ)):
+    if accepted is None and lam.below_grid(max(((1 << 2 * n) - 1) // 3 * den, LQ, HQ)):
         shift = width * den
         inside = max(0, _lex_rank(n, den, HP - shift, HQ, False)
                      - _lex_rank(n, den, LP, LQ, True))
@@ -335,19 +364,23 @@ def count_in_ball(sys: IFSSystem, n: int, ball: Ball,
 
     count_span at width 0: a level-n point is a span of width 0, so the
     rank path covers every depth up to about lam_1 (n = 27 under the
-    paper sequence) in O(n) digit steps.  With witnesses, the accepted
-    words are listed in lexicographic 0, 1, u order; they take the walk,
-    whose running time is proportional to the number of surviving nodes,
-    not 3**n, and a list past 3**enumeration_cap symbols raises
-    EnumerationCapError.  On the walk, centers that align with the
-    attractor's finest structure (e.g. 0 itself) can make the count
-    genuinely exponential.
+    paper sequence) in O(n) digit steps.  The ends c.p -+ r and c.q go
+    to _count_scaled as integer numerators over the lcm of the centre's
+    and the radius's denominators, with no Fraction arithmetic.  With
+    witnesses, the accepted words are listed in lexicographic 0, 1, u
+    order; they take the walk, whose running time is proportional to the
+    number of surviving nodes, not 3**n, and a list past
+    3**enumeration_cap symbols raises EnumerationCapError.  On the walk,
+    centers that align with the attractor's finest structure (e.g. 0
+    itself) can make the count genuinely exponential.
     """
     if n < 0:
         raise ValueError("depth must be >= 0")
-    c, r = ball.center, ball.radius
+    c = ball.center
+    den = math.lcm(c.p.denominator, c.q.denominator, ball.radius.denominator)
+    p, q, r = (x.numerator * (den // x.denominator) for x in (c.p, c.q, ball.radius))
     heads: Optional[list[str]] = [] if witnesses else None
-    count, _ = count_span(sys, n, (c.p - r, c.q), (c.p + r, c.q), 0, heads)
+    count, _ = _count_scaled(sys, n, [p - r, q, p + r, q], den, 0, heads, False)
     if heads is None:
         return BallCount(count)
     return BallCount(count, tuple(

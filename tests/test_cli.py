@@ -5,12 +5,14 @@ import os
 import shutil
 import subprocess
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from fracpack import IFSSystem, density_ratio, make_lacunary, project, sample_sequence
-from fracpack.cli import build_parser, main
+from fracpack.cli import build_parser, main, parse_args
 from conftest import span_count_oracle
 
 
@@ -125,6 +127,33 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--lambda", "explicit:2,6,14", "--n", "1200",
                            "--center", "1", "--C", "1")
         assert code == 0 and json.loads(out)["count"] == 5
+
+    def test_deep_walk_memory_stays_flat(self, capsys):
+        # Along the all-1 path every sibling misses the ball, so the walk
+        # stacks no node beside the path; stacking the siblings with their
+        # parent's 2n-bit key grew as n**2 (4.6 MB at n = 4000).
+        argv = ["count", "--lambda", "explicit:2,6,14", "--n", "4000",
+                "--center", "1" * 4000, "--C", "1"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0 and json.loads(out)["count"] == 3
+        assert peak < 2 ** 20
+
+    def test_paper_count_long_center_reduces_den(self, capsys):
+        # The radius 4**-27 puts the ends over 4**27, which scaling by 4**27
+        # cancels to den 1; the rank gate needs that reduced den.  Over
+        # 4**27 it would shut, and the walk would visit about 2**27 nodes.
+        t0 = time.perf_counter()
+        with mock.patch("fracpack.ifs._prefix_walk", side_effect=AssertionError("walked")):
+            code, out, _ = run(capsys, "count", "--lambda", "paper", "--n", "27",
+                               "--center", "0" * 30, "--C", "1")
+        assert code == 0 and json.loads(out)["count"] == 2 ** 27 + 1
+        assert time.perf_counter() - t0 < 1
 
     def test_paper_count_at_lam1(self, capsys):
         # n = lam_1 = 27: u stays below the grid, so the count is O(n) digit
@@ -488,6 +517,37 @@ class TestNegativeValues:
         code, _, err = run(capsys, "count", "--lambda", "paper", "--n", "-1",
                            "--center", "0")
         assert code == 2 and err == "error: depth must be >= 0\n"
+
+
+class TestParseOnce:
+    """main parses with the subcommand's parser alone, and answers as the
+    top-level parser does."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["count", "-h"],
+        ["cnt", "--n", "2"],
+        ["count", "--lambda", "paper", "--n", "2", "--center", "0", "--bogus"],
+        ["count", "--lambda", "paper", "--center", "0"],
+        ["count", "--lambda", "paper", "--n", "x", "--center", "0"],
+        # Each parses past the form named, then misses --center or --hi.
+        ["count", "--lambda", "paper", "--n=3"],
+        ["count", "--lam", "paper", "--n", "2"],
+        ["measure", "--lambda", "paper", "--lo", "-1/4", "--n", "2"],
+    ], ids=repr)
+    def test_exit_matches_top_level_parser(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert (code, out, err) == (exc.value.code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--lambda", "paper", "--n=3", "--center", "0"],
+        ["count", "--lam", "paper", "--n", "2", "--center", "01", "--C", "1/2"],
+        ["measure", "--lambda", "paper", "--lo", "-1/4", "--hi", "1/4", "--n", "2"],
+        ["dimension", "--ratios", "1/4,1/4,1/4"],
+    ], ids=repr)
+    def test_namespace_matches_top_level_parser(self, argv):
+        assert parse_args(argv) == build_parser().parse_args(argv)
 
 
 ALL_COMMANDS = [

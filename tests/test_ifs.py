@@ -266,6 +266,30 @@ class TestWalkPastGate:
         assert count_in_ball(IFSSystem(lam), n, ball).count == want
 
 
+class TestBallEnds:
+    # count_in_ball puts the centre's parts and the radius over one lcm.
+    # The centre word runs up to 6 symbols past n and moves by a/b of a
+    # level-n cell; the radius is num/den cells, any denominators.
+    @given(desc=st.sampled_from(["explicit:2,6,14", "explicit:1,3,7", "paper",
+                                 "geometric:b=3,start=1", "geometric:b=3,start=3"]),
+           n=st.integers(0, 6), w=st.text(alphabet="01u", max_size=12),
+           a=st.integers(-6, 6), b=st.integers(1, 30),
+           num=st.integers(0, 40), den=st.integers(1, 30))
+    @example(desc="paper", n=3, w="0" * 9, a=0, b=1, num=1, den=1)
+    @example(desc="explicit:2,6,14", n=4, w="1u0u1u", a=5, b=7, num=9, den=14)
+    @example(desc="geometric:b=3,start=1", n=5, w="u1u0", a=-1, b=12, num=35, den=24)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle(self, desc, n, w, a, b, num, den):
+        lam = make_lacunary(desc)
+        x = project(w[:n + 6])
+        center = SymbolicPoint(x.p + F(a, b * 4 ** n), x.q)
+        radius = F(num, den * 4 ** n)
+        lo = (center.p - radius, center.q)
+        hi = (center.p + radius, center.q)
+        got = count_in_ball(IFSSystem(lam), n, Ball(center, radius)).count
+        assert got == span_count_oracle(lam, n, lo, hi, 0)[0]
+
+
 # Rational u, where the walk compares integer keys.  Under explicit:1,3,7
 # three terms are active, so digit sums carry and distinct words can meet.
 keyed_lams = st.sampled_from(["explicit:2,6,14", "explicit:1,3,7"])
