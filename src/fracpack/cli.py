@@ -17,11 +17,11 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
 from .codespace import influence_count, sample_sequence
@@ -46,7 +46,50 @@ def _round15(x: float) -> float:
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """json.dumps(payload, sort_keys=True, indent=2) + "\n", byte for byte.
+
+    With indent set, json.dumps runs CPython's pure-Python encoder.  This
+    writer gives the same text for the exact types payloads hold: str,
+    int, float, bool, None, and lists, tuples and str-keyed dicts of them;
+    any other type raises TypeError.  Strings go through json's own ASCII
+    escaper.
+    """
+    return _json_text(payload, "\n") + "\n"
+
+
+_FLOAT_NAMES = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_text(o, nl: str) -> str:
+    """One JSON value; nl is the newline and indent of its own line."""
+    t = type(o)
+    if t is str:
+        return _json_str(o)
+    if t is int:
+        return repr(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        parts = []
+        for key in sorted(o):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(_json_str(key) + ": " + _json_text(o[key], inner))
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) + nl + "]"
+    if t is float:
+        text = repr(o)
+        return _FLOAT_NAMES.get(text, text)
+    if o is None:
+        return "null"
+    if t is bool:
+        return "true" if o else "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _render_csv(rows: list[list]) -> str:

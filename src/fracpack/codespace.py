@@ -33,19 +33,23 @@ def sample_sequence(seed, length: int) -> str:
     each is one getrandbits(2) try, rejected when 3, so it is exactly
     uniform.  Byte 3 of each little-endian 32-bit word of
     getrandbits(32*need) is an output's top byte, whose top two bits
-    getrandbits(2) returns.  A round draws at most one output per missing
-    symbol, so the generator consumes the stream of one getrandbits(2) per
-    try, and a word is the prefix of every longer word of the same seed.
+    getrandbits(2) returns.  A round draws half again as many outputs as
+    symbols are missing, plus 16, at most 2**16, so one round almost
+    always finishes the word.  The generator is the word's own, so the
+    surplus outputs past its last symbol are discarded unread: the word is
+    the first `length` symbols of the one-output-per-try stream, no word
+    changes, and a word is the prefix of every longer word of the same seed.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     rng = random.Random(str(seed))
     word = ""
     while len(word) < length:
-        need = min(length - len(word), 1 << 16)
+        missing = length - len(word)
+        need = min(missing + (missing >> 1) + 16, 1 << 16)
         raw = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
         word += raw[3::4].translate(_TOP_BITS, _REJECTED).decode()
-    return word
+    return word[:length]
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,11 @@ class BlockDecomposition:
         return tuple(self.lo + t * self.base for t in range(self.N))
 
     @property
+    def leader_mask(self) -> int:
+        """Bit i - 1 set for each leader i: a repunit in base 2**base."""
+        return ((1 << self.base * self.N) - 1) // ((1 << self.base) - 1) << self.lo - 1
+
+    @property
     def success_probability(self) -> Fraction:
         """Per-block pattern probability under uniform symbols: 3**-(k+1)."""
         return Fraction(1, 3 ** (self.k + 1))
@@ -209,9 +218,11 @@ def block_success_count(word: str, dec: BlockDecomposition,
                         lam: LacunarySequence) -> int:
     """Number of block leaders showing the full (u, 0, ..., 0) pattern.
 
-    Each leader probes itself plus k offsets that stay inside its own
-    block, so distinct blocks probe disjoint symbol sets and the count is
-    binomial with N = number of blocks and p = 3**-(k+1) under uniform
+    The count is the set bits of P_k & dec.leader_mask (see
+    _pattern_masks), the one test that stats.empirical_X_law also runs per
+    trial.  Each leader probes itself plus k offsets that stay inside its
+    own block, so distinct blocks probe disjoint symbol sets and the count
+    is binomial with N = number of blocks and p = 3**-(k+1) under uniform
     words.  Every successful leader is an influencing position for j,
     hence the count never exceeds S(word, j).
     """
@@ -219,9 +230,7 @@ def block_success_count(word: str, dec: BlockDecomposition,
     if len(w) < dec.j - 1:
         raise ValueError(f"word length {len(w)} < j - 1 = {dec.j - 1}")
     pats = _pattern_masks(w[:dec.j], [lam.term(m) for m in range(1, dec.k + 1)])
-    # One bit per leader lo + t*base: a repunit in base 2**base.
-    leaders = ((1 << dec.base * dec.N) - 1) // ((1 << dec.base) - 1) << dec.lo - 1
-    return (pats[-1] & leaders).bit_count()
+    return (pats[-1] & dec.leader_mask).bit_count()
 
 
 def perturb(word: str, rec: InfluenceRecord, lam: LacunarySequence) -> str:

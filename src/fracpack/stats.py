@@ -27,7 +27,6 @@ from .codespace import (
     _pattern_masks,
     _windows,
     block_decomposition,
-    block_success_count,
     sample_sequence,
 )
 
@@ -400,7 +399,14 @@ class XLawReport:
 
 def empirical_X_law(lam: LacunarySequence, j: int, trials: int,
                     seed: int) -> XLawReport:
-    """Total-variation distance of sampled block successes from Binomial(N, p)."""
+    """Total-variation distance of sampled block successes from Binomial(N, p).
+
+    Trial t counts the block successes of sample_sequence(f"{seed}:{t}", j),
+    as block_success_count would: the set bits of P_k & dec.leader_mask.
+    The terms lam_1..lam_k and the leader mask are taken once per call, and
+    sampled words need no validation, so a trial costs its draw and one
+    pattern scan.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dec = block_decomposition(j, lam)
@@ -409,10 +415,12 @@ def empirical_X_law(lam: LacunarySequence, j: int, trials: int,
     if j > lam.materialize_cap:
         raise CapError(f"word length {j} exceeds materialize_cap = {lam.materialize_cap}")
     p = dec.success_probability
+    terms = [lam.term(m) for m in range(1, dec.k + 1)]
+    leaders = dec.leader_mask
     hist: dict[int, int] = {}
     for t in range(trials):
-        word = sample_sequence(f"{seed}:{t}", j)
-        x = block_success_count(word, dec, lam)
+        pats = _pattern_masks(sample_sequence(f"{seed}:{t}", j), terms)
+        x = (pats[-1] & leaders).bit_count()
         hist[x] = hist.get(x, 0) + 1
     pmf = binom_pmf(dec.N, p)
     tv = Fraction(0)

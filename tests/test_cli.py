@@ -1,6 +1,7 @@
 """End-to-end command-line tests: outputs, config resolution, exit codes."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,9 +11,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracpack import IFSSystem, density_ratio, make_lacunary, project, sample_sequence
-from fracpack.cli import build_parser, main, parse_args
+from fracpack.cli import _render_json, build_parser, main, parse_args
 from conftest import span_count_oracle
 
 
@@ -591,6 +594,36 @@ class TestOutputContracts:
         assert code == 0
         lines = out.splitlines()
         assert len(lines) >= 1 and out.endswith("\n")
+
+
+# Every JSON value a payload can hold; st.floats() includes inf, -inf and nan.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=10)
+
+
+class TestJsonWriter:
+    """_render_json against the json module it stands in for."""
+
+    @given(payload=st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=6))
+    @example(payload={"flagged": True, "off": False, "one": 1, "zero": 0})
+    @example(payload={"contribution": math.inf, "low": -math.inf, "nan": math.nan,
+                      "neg0": -0.0, "tiny": 5e-324, "big": 1e300})
+    @example(payload={"log10_contribution": None, "min_ratio": None})
+    @example(payload={"word": 'q"b\\s/\n\t\x00\x1f\x7f \u00e9 \u221e \U0001d11e',
+                      "\u00fc\n": "key escaped"})
+    @example(payload={"t": (1, (2.5, [])), "e": {}, "l": [], "d": {"b": [{}], "a": ()}})
+    @example(payload={})
+    @settings(max_examples=150, deadline=None)
+    def test_matches_json_dumps(self, payload):
+        assert _render_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_unsupported_value_raises_type_error(self):
+        for render in (_render_json, lambda p: json.dumps(p, sort_keys=True, indent=2)):
+            with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+                render({"p": Fraction(1, 2)})
 
 
 class TestInstalledScript:

@@ -74,6 +74,7 @@ class TestCodeSequence:
     @example(seed=MASTER_SEED, lengths=[0])      # empty word
     @example(seed=MASTER_SEED, lengths=[40, 7, 41])
     @example(seed=1, lengths=[(1 << 16) + 3])    # more than one bulk round
+    @example(seed=2, lengths=[43679, 43680, 43681])  # rounds of 2**16 - 2, 2**16, capped
     @settings(max_examples=60, deadline=None)
     def test_bulk_draw_matches_symbol_loop(self, seed, lengths):
         # The reference draws one getrandbits(2) per try, so the words of

@@ -1,6 +1,7 @@
 """Tests for binomial tails, Hoeffding bounds, scale tables and simulation."""
 
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -11,16 +12,24 @@ from fracpack import (
     CapError,
     binom_pmf,
     binom_tail,
+    block_decomposition,
+    block_success_count,
     borel_cantelli_table,
     empirical_X_law,
     hoeffding_bound,
+    influence_count,
     make_lacunary,
     monte_carlo_growth,
     parse_rational,
     sample_sequence,
     tail_report,
 )
-from fracpack.stats import EXACT_BINOMIAL_LIMIT, LOG_DOMAIN_REL_TOL, empirical_quantile
+from fracpack.stats import (
+    EXACT_BINOMIAL_LIMIT,
+    LOG_DOMAIN_REL_TOL,
+    CheckpointStats,
+    empirical_quantile,
+)
 from conftest import MASTER_SEED, influence_scan_oracle
 
 probs = st.builds(F, st.integers(0, 8), st.integers(8, 9))
@@ -290,3 +299,39 @@ class TestXLaw:
     def test_validation(self, lam_toy):
         with pytest.raises(ValueError):
             empirical_X_law(lam_toy, 6, 0, MASTER_SEED)
+
+
+# lam_1 = 27, a finite list that ends the windows, and a dense infinite kind.
+TRIAL_LAMS = ["paper", "explicit:2,6,14,30,62", "geometric:b=3,start=3"]
+
+
+class TestTrialLoops:
+    """Each trial loop against one public call per trial on the same words."""
+
+    @given(lam=st.sampled_from(TRIAL_LAMS), data=st.data(), trials=st.integers(1, 12),
+           seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_xlaw_histogram_matches_per_trial_count(self, lam, data, trials, seed):
+        seq = make_lacunary(lam)
+        top = 150 if seq.length is None else seq.term(seq.length) - 1
+        j = data.draw(st.integers(seq.term(1), top), label="j")
+        dec = block_decomposition(j, seq)
+        want = Counter(block_success_count(sample_sequence(f"{seed}:{t}", j), dec, seq)
+                       for t in range(trials))
+        assert empirical_X_law(seq, j, trials, seed).histogram == dict(want)
+
+    @given(lam=st.sampled_from(TRIAL_LAMS),
+           checkpoints=st.lists(st.integers(1, 150), min_size=1, max_size=4),
+           trials=st.integers(1, 12), seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_growth_stats_match_per_trial_influence(self, lam, checkpoints, trials, seed):
+        seq = make_lacunary(lam)
+        rep = monte_carlo_growth(seq, checkpoints, trials, seed)
+        words = [sample_sequence(f"{seed}:{t}", max(checkpoints)) for t in range(trials)]
+        want = []
+        for j in checkpoints:
+            xs = sorted(influence_count(w, j, seq).count for w in words)
+            want.append(CheckpointStats(
+                j, xs[0], *(empirical_quantile(xs, f) for f in (0.1, 0.25, 0.5, 0.75, 0.9)),
+                xs[-1], sum(xs) / len(xs)))
+        assert rep.stats == tuple(want)
