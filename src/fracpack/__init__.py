@@ -20,7 +20,6 @@ from .numeric import (
 )
 from .ifs import (
     ALPHABET,
-    Ball,
     BallCount,
     DEFAULT_ENUMERATION_CAP,
     IFSSystem,
@@ -49,7 +48,6 @@ from .measure import (
     DensityProfile,
     MeasureBounds,
     PackingEstimate,
-    SymbolicInterval,
     box_counting_profile,
     density_profile,
     density_ratio,

@@ -26,9 +26,10 @@ from typing import Optional
 
 from .codespace import influence_count, sample_sequence
 from .config import RunConfig, resolve_config
-from .ifs import S_DIM, Ball, IFSSystem, count_in_ball, project, similarity_dimension
+from .ifs import IFSSystem, count_in_ball, project, similarity_dimension
 from .measure import (
-    SymbolicInterval,
+    DensityEntry,
+    _float,
     box_counting_profile,
     density_profile,
     density_ratio,
@@ -99,9 +100,14 @@ def _render_csv(rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _emit(args, cfg: RunConfig, payload: dict, rows: list[list]) -> None:
+def _emit(args, cfg: RunConfig, payload: dict, csv_rows) -> None:
+    """Write payload as JSON, or the rows that csv_rows() returns as CSV.
+
+    The rows are built only for CSV, so a CSV column past float range
+    (CapError) never stops a JSON answer.
+    """
     fmt = cfg.format if args.format is None else args.format
-    text = _render_json(payload) if fmt == "json" else _render_csv(rows)
+    text = _render_json(payload) if fmt == "json" else _render_csv(csv_rows())
     out = args.out
     if out is None and cfg.out_dir:
         out = os.path.join(cfg.out_dir, f"{args.command}.{fmt}")
@@ -146,7 +152,7 @@ def cmd_dimension(args, cfg: RunConfig) -> int:
         return 0
     ratios = [rational_str(parse_rational(p)) for p in parts]
     payload = {"schema": 1, "ratios": ratios, "dimension": s}
-    _emit(args, cfg, payload, [["dimension"], [s]])
+    _emit(args, cfg, payload, lambda: [["dimension"], [s]])
     return 0
 
 
@@ -154,7 +160,7 @@ def cmd_count(args, cfg: RunConfig) -> int:
     system = _system(args, cfg)
     center = project(args.center)
     C = parse_rational(args.C)
-    result = count_in_ball(system, args.n, Ball(center, C * Fraction(1, 4) ** args.n),
+    result = count_in_ball(system, args.n, center, C * Fraction(1, 4) ** args.n,
                            witnesses=args.witnesses)
     payload = {
         "schema": 1,
@@ -168,7 +174,7 @@ def cmd_count(args, cfg: RunConfig) -> int:
     if result.witnesses is not None:
         payload["witnesses"] = list(result.witnesses)
         rows = [["witness"]] + [[w] for w in result.witnesses]
-    _emit(args, cfg, payload, rows)
+    _emit(args, cfg, payload, lambda: rows)
     return 0
 
 
@@ -185,7 +191,7 @@ def cmd_influence(args, cfg: RunConfig) -> int:
         "records": [r.to_dict() for r in summary.records],
     }
     rows = [["i", "k"]] + [[r.i, r.k] for r in summary.records]
-    _emit(args, cfg, payload, rows)
+    _emit(args, cfg, payload, lambda: rows)
     return 0
 
 
@@ -195,7 +201,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     trials = _check_trials(args.trials, cfg)
     seed = cfg.seed if args.seed is None else args.seed
     report = monte_carlo_growth(lam, checkpoints, trials, seed)
-    _emit(args, cfg, report.to_dict(), report.csv_rows())
+    _emit(args, cfg, report.to_dict(), report.csv_rows)
     return 0
 
 
@@ -205,7 +211,7 @@ def cmd_density(args, cfg: RunConfig) -> int:
     if word is None:
         word = "0" * recommended_word_length(system.lam, args.n_max)
     report = density_profile(system, word, args.n_max, parse_rational(args.C))
-    _emit(args, cfg, report.to_dict(), report.csv_rows())
+    _emit(args, cfg, report.to_dict(), report.csv_rows)
     return 0
 
 
@@ -235,7 +241,6 @@ def cmd_blowup(args, cfg: RunConfig) -> int:
     if length > lam.materialize_cap:
         raise CapError(f"word length {length} exceeds materialize_cap = {lam.materialize_cap}")
     seed = cfg.seed if args.seed is None else args.seed
-    scale = (2.0 * float(C + 1)) ** S_DIM
     entries = []
     for t in range(args.samples):
         word = sample_sequence(f"{seed}:cond:{t}", length)
@@ -243,8 +248,10 @@ def cmd_blowup(args, cfg: RunConfig) -> int:
         if S < args.min_successes:
             continue
         entry = density_ratio(system, project(word), args.j, C)
+        # The floor is the ratio bound that S + 1 counted words certify.
         entries.append({"trial": t, "S": S, "count": entry.count,
-                        "ratio_bound": entry.ratio_bound, "floor": (S + 1) / scale})
+                        "ratio_bound": entry.ratio_bound,
+                        "floor": DensityEntry(args.j, C, S + 1).ratio_bound})
     payload = {
         "schema": 1,
         "lambda": lam.descriptor(),
@@ -258,7 +265,7 @@ def cmd_blowup(args, cfg: RunConfig) -> int:
         "min_ratio": min((e["ratio_bound"] for e in entries), default=None),
     }
     keys = ["trial", "S", "count", "ratio_bound", "floor"]
-    _emit(args, cfg, payload, [keys] + [[e[k] for k in keys] for e in entries])
+    _emit(args, cfg, payload, lambda: [keys] + [[e[k] for k in keys] for e in entries])
     return 0
 
 
@@ -266,14 +273,14 @@ def cmd_measure(args, cfg: RunConfig) -> int:
     system = _system(args, cfg)
     lo = SymbolicPoint(parse_rational(args.lo), Fraction(0))
     hi = SymbolicPoint(parse_rational(args.hi), Fraction(0))
-    report = measure_bounds(system, SymbolicInterval(lo, hi), args.n)
+    report = measure_bounds(system, lo, hi, args.n)
     payload = dict(report.to_dict())
     payload.update({"schema": 1, "lambda": system.lam.descriptor(),
                     "lo": rational_str(lo.p), "hi": rational_str(hi.p)})
     rows = [["n", "contained", "intersecting", "lower", "upper"],
             [report.n, report.contained, report.intersecting,
              float(report.lower), float(report.upper)]]
-    _emit(args, cfg, payload, rows)
+    _emit(args, cfg, payload, lambda: rows)
     return 0
 
 
@@ -282,16 +289,16 @@ def cmd_pack(args, cfg: RunConfig) -> int:
     report = packing_premeasure_estimate(system, args.n, parse_rational(args.delta))
     payload = dict(report.to_dict())
     payload["lambda"] = system.lam.descriptor()
-    rows = [["n", "delta", "accepted", "value"],
-            [report.n, float(report.delta), report.accepted, report.value]]
-    _emit(args, cfg, payload, rows)
+    _emit(args, cfg, payload, lambda: [
+        ["n", "delta", "accepted", "value"],
+        [report.n, _float(report.delta, "delta"), report.accepted, report.value]])
     return 0
 
 
 def cmd_boxcount(args, cfg: RunConfig) -> int:
     system = _system(args, cfg)
     report = box_counting_profile(system, args.n_max)
-    _emit(args, cfg, report.to_dict(), report.csv_rows())
+    _emit(args, cfg, report.to_dict(), report.csv_rows)
     return 0
 
 
@@ -303,7 +310,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     for row in table.rows:
         d = row.to_dict()
         rows.append([d[key] for key in rows[0]])
-    _emit(args, cfg, table.to_dict(), rows)
+    _emit(args, cfg, table.to_dict(), lambda: rows)
     return 0
 
 
@@ -318,9 +325,13 @@ def _add_common(sub: argparse.ArgumentParser, with_lambda: bool = True) -> None:
                               " | explicit:t1,t2,...")
 
 
-# argparse reads a word after "-" as an option unless it matches this: its own
-# -<digits> and -<digits>.<digits>, or a negative fraction such as -1/4.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+# argparse reads a word after "-" as an option unless it matches this: "-"
+# and then unsigned text without spaces in the grammar parse_rational reads,
+# Fraction(text)'s: -1, -1/4, -0.25, -.5, -1., -1e-3, -1_000 (and -1/0, which
+# parse_rational then rejects).  No option name starts with "-" and a digit,
+# or "-." and a digit.
+_NEGATIVE_NUMBER = re.compile(
+    r"-(?=\.?\d)(\d+(_\d+)*)?(/\d+(_\d+)*|(\.(\d+(_\d+)*)?)?([eE][-+]?\d+(_\d+)*)?)\Z")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -107,20 +107,6 @@ def project(word: str) -> SymbolicPoint:
 
 
 @dataclass(frozen=True)
-class Ball:
-    """Closed ball B(center, radius) on the line, radius >= 0."""
-
-    center: SymbolicPoint
-    radius: Fraction
-
-    def __post_init__(self):
-        r = Fraction(self.radius)
-        object.__setattr__(self, "radius", r)
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
-
-
-@dataclass(frozen=True)
 class BallCount:
     count: int
     witnesses: Optional[tuple[str, ...]] = None
@@ -268,51 +254,44 @@ def _prefix_word(n: int, m: int, P: int, Q: int) -> str:
     return "".join(out)
 
 
-def count_span(sys: IFSSystem, n: int, lo: tuple[Fraction, Fraction],
-               hi: tuple[Fraction, Fraction], width: int,
+def _over_one_den(*xs: Fraction) -> tuple[list[int], int]:
+    """The numerators of xs over the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def count_span(sys: IFSSystem, n: int, ends: list[int], den: int, width: int,
                accepted: Optional[list[str]] = None,
                capped: bool = False) -> tuple[int, int]:
     """(inside, meeting): length-n words whose span lies inside, or meets, [lo, hi].
 
-    The ends are (p, q) pairs of rationals standing for p + q*u.  A word
-    at x spans [x, x + width*4**-n]: width 0 is a point (a ball count),
-    width 1 its level-n cylinder.  Scaled by 4**n, the descendants of a
-    depth-m prefix at P + Q*u lie in [P + Q*u, P + g + width + Q*u] with
-    g = (4**(n-m) - 1)//3, the walk's hull: as 0 < u < 1, a digit adds
-    at most its weight.  One lcm puts the four parts over one
-    denominator, and _count_scaled, the one place that chooses between
-    the O(n) rank and the prefix walk, counts on their numerators.
-
-    When lam.below_grid(max(g*den at the root, q-parts of the ends)) and
-    no list is asked for, value order is lexicographic (P, Q) order, so a
-    span at v lies inside exactly when lo <= v <= hi - width and meets
-    exactly when lo - width <= v <= hi: differences of _lex_rank values.
-    Otherwise the walk decides, in time proportional to its surviving
-    nodes; for rational u it compares integer keys, with no sign test
-    per node (see _prefix_walk).  A list accepted receives the prefix of
-    every inside node, in 0, 1, u order, and EnumerationCapError stops it
-    before those prefixes stand for more than 3**enumeration_cap symbols
-    (words times n).  With capped, a walk at n > enumeration_cap raises
-    EnumerationCapError before it starts; the rank path has no such cap.
-    As the gate needs irrational u and n <= lam_1, a capped count that
-    fails those stops before it scales by 4**n.
-    """
-    ends = (*lo, *hi)
-    den = math.lcm(*(x.denominator for x in ends))
-    return _count_scaled(sys, n, [x.numerator * (den // x.denominator) for x in ends],
-                         den, width, accepted, capped)
-
-
-def _count_scaled(sys: IFSSystem, n: int, ends: list[int], den: int, width: int,
-                  accepted: Optional[list[str]], capped: bool) -> tuple[int, int]:
-    """count_span on integer ends: [lo_p, lo_q, hi_p, hi_q] over any den > 0.
+    The ends are integers [lo_p, lo_q, hi_p, hi_q] over any den > 0, and
+    stand for lo = (lo_p + lo_q*u)/den and hi = (hi_p + hi_q*u)/den.  A
+    word at x spans [x, x + width*4**-n]: width 0 is a point (a ball
+    count), width 1 its level-n cylinder.  Scaled by 4**n, the
+    descendants of a depth-m prefix at P + Q*u lie in
+    [P + Q*u, P + g + width + Q*u] with g = (4**(n-m) - 1)//3, the walk's
+    hull: as 0 < u < 1, a digit adds at most its weight.  This is the one
+    place that chooses between the O(n) rank and the prefix walk.
 
     Scaling by 4**n shifts each numerator left by 2n, and one gcd with den
     reduces them: den // gcd(den, scaled numerators) is the lcm of the
     scaled parts' own denominators, as at every prime p both have the
-    exponent v_p(den) - min(v_p(den), v_p of each numerator).  The rank
-    gate reads that reduced den; an unreduced one could shut the gate and
-    send the count down the walk.
+    exponent v_p(den) - min(v_p(den), v_p of each numerator).  When
+    lam.below_grid(max(g*den at the root, q-parts of the ends)) on that
+    reduced den (an unreduced one could shut the gate) and no list is
+    asked for, value order is lexicographic (P, Q) order, so a span at v
+    lies inside exactly when lo <= v <= hi - width and meets exactly when
+    lo - width <= v <= hi: differences of _lex_rank values.  Otherwise the
+    walk decides, in time proportional to its surviving nodes; for
+    rational u it compares integer keys, with no sign test per node (see
+    _prefix_walk).  A list accepted receives the prefix of every inside
+    node, in 0, 1, u order, and EnumerationCapError stops it before those
+    prefixes stand for more than 3**enumeration_cap symbols (words times
+    n).  With capped, a walk at n > enumeration_cap raises
+    EnumerationCapError before it starts; the rank path has no such cap.
+    As the gate needs irrational u and n <= lam_1, a capped count that
+    fails those stops before it scales by 4**n.
     """
     lam = sys.lam
     capped = capped and n > sys.enumeration_cap
@@ -358,14 +337,15 @@ def _count_scaled(sys: IFSSystem, n: int, ends: list[int], den: int, width: int,
     return inside, meeting
 
 
-def count_in_ball(sys: IFSSystem, n: int, ball: Ball,
+def count_in_ball(sys: IFSSystem, n: int, center: SymbolicPoint, radius: Fraction,
                   witnesses: bool = False) -> BallCount:
-    """Exact number of length-n words whose projection lies in the ball.
+    """Exact number of length-n words whose projection lies in the closed
+    ball B(center, radius), radius >= 0.
 
     count_span at width 0: a level-n point is a span of width 0, so the
     rank path covers every depth up to about lam_1 (n = 27 under the
     paper sequence) in O(n) digit steps.  The ends c.p -+ r and c.q go
-    to _count_scaled as integer numerators over the lcm of the centre's
+    to count_span as integer numerators over the lcm of the centre's
     and the radius's denominators, with no Fraction arithmetic.  With
     witnesses, the accepted words are listed in lexicographic 0, 1, u
     order; they take the walk, whose running time is proportional to the
@@ -374,13 +354,13 @@ def count_in_ball(sys: IFSSystem, n: int, ball: Ball,
     centers that align with the attractor's finest structure (e.g. 0
     itself) can make the count genuinely exponential.
     """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     if n < 0:
         raise ValueError("depth must be >= 0")
-    c = ball.center
-    den = math.lcm(c.p.denominator, c.q.denominator, ball.radius.denominator)
-    p, q, r = (x.numerator * (den // x.denominator) for x in (c.p, c.q, ball.radius))
+    (p, q, r), den = _over_one_den(center.p, center.q, radius)
     heads: Optional[list[str]] = [] if witnesses else None
-    count, _ = _count_scaled(sys, n, [p - r, q, p + r, q], den, 0, heads, False)
+    count, _ = count_span(sys, n, [p - r, q, p + r, q], den, 0, heads)
     if heads is None:
         return BallCount(count)
     return BallCount(count, tuple(

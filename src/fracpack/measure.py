@@ -17,16 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import (
+    CapError,
     LacunarySequence,
     SymbolicPoint,
     affine_sign_scaled,
     rational_str,
 )
 from .ifs import (
-    Ball,
     IFSSystem,
     S_DIM,
     _level_keys,
+    _over_one_den,
     count_in_ball,
     count_span,
     project,
@@ -34,12 +35,35 @@ from .ifs import (
 )
 
 
-@dataclass(frozen=True)
-class SymbolicInterval:
-    """Closed interval [lo, hi] with exact symbolic endpoints."""
+def _float(x: Fraction, what: str) -> float:
+    """float(x), or CapError when x lies beyond float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise CapError(f"{what} is beyond float range") from None
 
-    lo: SymbolicPoint
-    hi: SymbolicPoint
+
+def _power_scaled(count: int, x: Fraction, sign: int, what: str) -> float:
+    """count * x**(sign*s) as a float, for an exact x > 0 and s = S_DIM.
+
+    The float expression count * float(x)**s (sign 1) or
+    count / float(x)**s (sign -1) answers whenever x and count convert to
+    floats.  Past that, the logs of count and of x's numerator and
+    denominator give the result, and CapError is raised when it lies
+    beyond float range.
+    """
+    try:
+        f = float(x) ** S_DIM
+        return count * f if sign > 0 else count / f
+    except OverflowError:
+        pass
+    if not count:
+        return 0.0
+    log = math.log(count) + sign * S_DIM * (math.log(x.numerator) - math.log(x.denominator))
+    try:
+        return math.exp(log)
+    except OverflowError:
+        raise CapError(f"{what} is beyond float range") from None
 
 
 @dataclass(frozen=True)
@@ -62,20 +86,23 @@ class MeasureBounds:
         }
 
 
-def measure_bounds(sys: IFSSystem, J: SymbolicInterval, n: int) -> MeasureBounds:
-    """Count level-n cylinders inside and meeting the closed interval J.
+def measure_bounds(sys: IFSSystem, lo: SymbolicPoint, hi: SymbolicPoint,
+                   n: int) -> MeasureBounds:
+    """Count level-n cylinders inside and meeting the closed interval [lo, hi].
 
-    count_span at width 1: a cylinder inside J counts all its 3**(n-m)
-    descendants both ways, and a leaf that crosses an endpoint counts
-    only as meeting J.  Lower bounds are nondecreasing in n because each
-    contained cylinder splits into three contained children.  Past the
+    count_span at width 1, on the four parts of the ends as integer
+    numerators over the lcm of their denominators: a cylinder inside
+    [lo, hi] counts all its 3**(n-m) descendants both ways, and a leaf
+    that crosses an endpoint counts only as meeting [lo, hi].  Lower
+    bounds are nondecreasing in n because each contained cylinder splits
+    into three contained children.  Past the
     enumeration cap, only a count that would walk raises
     EnumerationCapError; the O(n) rank path answers at any level.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    contained, intersecting = count_span(sys, n, (J.lo.p, J.lo.q),
-                                         (J.hi.p, J.hi.q), 1, capped=True)
+    ends, den = _over_one_den(lo.p, lo.q, hi.p, hi.q)
+    contained, intersecting = count_span(sys, n, ends, den, 1, capped=True)
     return MeasureBounds(
         n=n,
         contained=contained,
@@ -105,7 +132,7 @@ class DensityEntry:
 
     @property
     def ratio_bound(self) -> float:
-        return self.count / (2.0 * float(self.C + 1)) ** S_DIM
+        return _power_scaled(self.count, 2 * (self.C + 1), -1, "ratio_bound")
 
     def to_dict(self) -> dict:
         return {
@@ -120,16 +147,15 @@ def density_ratio(sys: IFSSystem, x: SymbolicPoint, n: int,
                   C: Fraction = Fraction(3)) -> DensityEntry:
     """Certified density entry at level n around x.
 
-    Counts length-n words projecting into the closed ball of radius
-    C * 4**(-n) around x.  Requires C >= 1 so that, when x truncates a
-    longer word at depth at least n + 1, the word's own prefix is always
-    counted and the ratio is at least (2*(C+1))**(-s).
+    Counts, with count_in_ball, the length-n words projecting into the
+    closed ball of radius C * 4**(-n) around x.  Requires C >= 1 so that,
+    when x truncates a longer word at depth at least n + 1, the word's own
+    prefix is always counted and the ratio is at least (2*(C+1))**(-s).
     """
     C = Fraction(C)
     if C < 1:
         raise ValueError("C must be >= 1")
-    ball = Ball(x, C * Fraction(1, 4 ** n))
-    M = count_in_ball(sys, n, ball).count
+    M = count_in_ball(sys, n, x, C * Fraction(1, 4 ** n)).count
     return DensityEntry(n=n, C=C, count=M)
 
 
@@ -152,7 +178,7 @@ class DensityProfile:
     def csv_rows(self) -> list[list]:
         rows = [["n", "radius", "M", "ratio_bound"]]
         for e in self.entries:
-            rows.append([e.n, float(e.radius), e.count, e.ratio_bound])
+            rows.append([e.n, _float(e.radius, "radius"), e.count, e.ratio_bound])
         return rows
 
 
@@ -205,7 +231,7 @@ class PackingEstimate:
 
     @property
     def value(self) -> float:
-        return self.accepted * float(self.delta) ** S_DIM
+        return _power_scaled(self.accepted, self.delta, 1, "value")
 
     def to_dict(self) -> dict:
         return {

@@ -371,10 +371,10 @@ def _u_enclosure_info(lam: LacunarySequence,
 class SymbolicPoint:
     """Exact point p + q*u with rationals p and q >= 0.
 
-    Any denominators will do: count_span scales both ends of an interval
-    to one.  A nonnegative q keeps every q-difference of a level point
-    and an end within max(g*den, q-parts of the ends), the bound that the
-    rank gate tests.
+    Any denominators will do: count_in_ball and measure_bounds put the
+    parts over one lcm for count_span.  A nonnegative q keeps every
+    q-difference of a level point and an end within max(g*den, q-parts
+    of the ends), the bound that the rank gate tests.
     """
 
     p: Fraction

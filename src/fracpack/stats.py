@@ -130,18 +130,6 @@ class TailReport:
     hoeffding: float
     flagged: bool
 
-    def to_dict(self) -> dict:
-        exact = self.exact_tail
-        return {
-            "N": self.N,
-            "p": rational_str(self.p),
-            "M": self.M,
-            "exact_tail": rational_str(exact) if isinstance(exact, Fraction) else exact,
-            "exact_tail_float": float(exact),
-            "hoeffding": self.hoeffding,
-            "flagged": self.flagged,
-        }
-
 
 def tail_report(N: int, p: Fraction, M: int) -> TailReport:
     p = Fraction(p)
@@ -326,8 +314,10 @@ def monte_carlo_growth(lam: LacunarySequence, checkpoints, trials: int,
 
     Each trial draws one uniform word of length max(checkpoints) from a
     deterministically derived per-trial generator, so reports are
-    reproducible and embarrassingly parallel in principle.  A word longer
-    than lam.materialize_cap raises CapError: positions are exponents of 4.
+    reproducible and embarrassingly parallel in principle.  Each distinct
+    checkpoint is scored once per trial, and a repeated one is reported
+    at every place it is listed.  A word longer than lam.materialize_cap
+    raises CapError: positions are exponents of 4.
     """
     cps = tuple(int(j) for j in checkpoints)
     if not cps or any(j < 1 for j in cps):
@@ -344,8 +334,8 @@ def monte_carlo_growth(lam: LacunarySequence, checkpoints, trials: int,
     samples: dict[int, list[int]] = {j: [] for j in cps}
     for t in range(trials):
         pats = _pattern_masks(sample_sequence(f"{seed}:{t}", top), terms)
-        for j in cps:
-            samples[j].append(sum((pats[k] & mask).bit_count() for k, mask in windows[j]))
+        for j, masks in windows.items():
+            samples[j].append(sum((pats[k] & mask).bit_count() for k, mask in masks))
     stats = []
     for j in cps:
         xs = sorted(samples[j])
@@ -389,12 +379,6 @@ class XLawReport:
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
             "tv_distance": self.tv_distance,
         }
-
-    def csv_rows(self) -> list[list]:
-        rows: list[list] = [["value", "count"]]
-        for value, count in sorted(self.histogram.items()):
-            rows.append([value, count])
-        return rows
 
 
 def empirical_X_law(lam: LacunarySequence, j: int, trials: int,

@@ -61,9 +61,10 @@ def rational_sign(a, b, lam) -> int:
 def span_count_oracle(lam, n, lo, hi, width) -> tuple[int, int]:
     """(inside, meeting) over all 3**n words, one word at a time.
 
-    The reference for count_span: a word at x spans [x, x + width*4**-n],
-    and each end of that span is placed against the (p, q) ends lo and hi
-    by one exact sign test.
+    The reference for count_span, which takes the same ends as integers
+    over one denominator, and for count_in_ball and measure_bounds: a word
+    at x spans [x, x + width*4**-n], and each end of that span is placed
+    against the rational (p, q) ends lo and hi by one exact sign test.
     """
     w = Fraction(width, 4 ** n)
     inside = meeting = 0

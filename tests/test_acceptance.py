@@ -15,7 +15,6 @@ from fractions import Fraction as F
 import pytest
 
 from fracpack import (
-    Ball,
     IFSSystem,
     S_DIM,
     SymbolicPoint,
@@ -38,7 +37,6 @@ from fracpack import (
     sample_sequence,
     similarity_dimension,
 )
-from fracpack.measure import SymbolicInterval
 from conftest import MASTER_SEED, exact_value
 from test_cli import ALL_COMMANDS, main
 
@@ -73,7 +71,7 @@ def test_02_counting_oracle(capsys, sys_toy, lam_toy):
         C = rng.choice([F(1, 2), F(1), F(2), F(3)])
         center = project(word)
         radius = C * F(1, 4 ** n)
-        pruned = count_in_ball(sys_toy, n, Ball(center, radius)).count
+        pruned = count_in_ball(sys_toy, n, center, radius).count
         c = center.p + center.q * u
         vals = values_by_n[n]
         brute = bisect.bisect_right(vals, c + radius) - bisect.bisect_left(vals, c - radius)
@@ -164,19 +162,17 @@ def test_07_measure_bounds(capsys, sys_toy):
         k = rng.randint(1, 6)
         a = rng.randint(0, 2 ** k - 1)
         b = rng.randint(a + 1, 2 ** k)
-        J = SymbolicInterval(SymbolicPoint(F(a, 2 ** k), F(0)),
-                             SymbolicPoint(F(b, 2 ** k), F(0)))
+        lo, hi = SymbolicPoint(F(a, 2 ** k), F(0)), SymbolicPoint(F(b, 2 ** k), F(0))
         prev_lower = None
         for n in range(0, 11):
-            mb = measure_bounds(sys_toy, J, n)
+            mb = measure_bounds(sys_toy, lo, hi, n)
             if not 0 <= mb.lower <= mb.upper <= 1:
                 violations += 1
             if prev_lower is not None and mb.lower < prev_lower:
                 violations += 1
             prev_lower = mb.lower
-    unit = SymbolicInterval(SymbolicPoint(F(0), F(0)), SymbolicPoint(F(1), F(0)))
     for n in range(0, 11):
-        mb = measure_bounds(sys_toy, unit, n)
+        mb = measure_bounds(sys_toy, SymbolicPoint(F(0), F(0)), SymbolicPoint(F(1), F(0)), n)
         if not (mb.lower == mb.upper == 1):
             violations += 1
     ok = violations == 0

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracpack import IFSSystem, density_ratio, make_lacunary, project, sample_sequence
+from fracpack import (
+    IFSSystem,
+    S_DIM,
+    density_ratio,
+    make_lacunary,
+    project,
+    sample_sequence,
+)
 from fracpack.cli import _render_json, build_parser, main, parse_args
 from conftest import span_count_oracle
 
@@ -317,6 +324,53 @@ class TestBlowup:
         assert code == 0 and json.loads(out)["word_length"] == 24
 
 
+class TestFloatRange:
+    """A float column past float range: the value from logs, or exit 3."""
+
+    PACK = ("pack", "--lambda", "paper", "--n", "3", "--delta", "1e400")
+    DENSITY = ("density", "--lambda", "paper", "--n-max", "2", "--C", "1e400")
+    BLOWUP = ("blowup", "--lambda", "paper", "--j", "3", "--C", "1e400",
+              "--samples", "2", "--min-successes", "0")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_pack_value_exits_3(self, fmt, capsys):
+        # 1 * (10**400)**s is about 10**317.
+        code, out, err = run(capsys, *self.PACK, "--format", fmt)
+        assert (code, out, err) == (3, "", "error: value is beyond float range\n")
+
+    def test_pack_value_from_logs(self, capsys):
+        # delta = 10**380 has no float, but 1 * delta**s does.
+        argv = self.PACK[:-1] + ("1e380",)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(math.exp(S_DIM * 380 * math.log(10)))
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, out, err) == (3, "", "error: delta is beyond float range\n")
+
+    def test_density_json_answers(self, capsys):
+        code, out, _ = run(capsys, *self.DENSITY)
+        entries = json.loads(out)["entries"]
+        assert code == 0 and [e["count"] for e in entries] == [3, 9]
+        assert all(0 < e["ratio_bound"] < 1e-300 for e in entries)
+
+    def test_density_csv_radius_exits_3(self, capsys):
+        code, out, err = run(capsys, *self.DENSITY, "--format", "csv")
+        assert (code, out, err) == (3, "", "error: radius is beyond float range\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_blowup_answers(self, fmt, capsys):
+        code, out, _ = run(capsys, *self.BLOWUP, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            entries = json.loads(out)["entries"]
+        else:
+            head, *lines = out.splitlines()
+            entries = [dict(zip(head.split(","), map(float, line.split(","))))
+                       for line in lines]
+        assert len(entries) == 2
+        assert all(0 < e["floor"] <= e["ratio_bound"] < 1e-300 for e in entries)
+
+
 class TestMeasurePackBoxcount:
     def test_measure_interval(self, capsys):
         code, out, _ = run(capsys, "measure", "--lambda", "paper", "--lo", "0",
@@ -487,12 +541,15 @@ class TestNegativeValues:
         subs = build_parser()._subparsers._group_actions[0].choices
         for parser in (build_parser(), *subs.values()):
             matcher = parser._negative_number_matcher
-            assert all(matcher.match(v) for v in ("-1/4", "-1", "-0.25", "-.5"))
-            assert not matcher.match("-1/") and not matcher.match("--lo")
+            assert all(matcher.match(v) for v in ("-1/4", "-1", "-0.25", "-.5",
+                                                  "-1e-3", "-2.5E+2", "-.5e1", "-1_000"))
+            assert not any(matcher.match(v) for v in ("-1/", "--lo", "-e3", "-1e", "-1/4e2"))
 
     @pytest.mark.parametrize("bare, joined", [
         (("--lo", "-1/4", "--hi", "1/4"), ("--lo=-1/4", "--hi=1/4")),
         (("--lo", "-0.25", "--hi", "1/4"), ("--lo=-1/4", "--hi=1/4")),
+        (("--lo", "-1e-3", "--hi", "1/4"), ("--lo=-1/1000", "--hi=1/4")),
+        (("--lo", "-2.5E-1", "--hi", "1/4"), ("--lo=-1/4", "--hi=1/4")),
     ])
     def test_lo(self, bare, joined, capsys):
         base = ("measure", "--lambda", "paper", "--n", "2")
@@ -501,20 +558,22 @@ class TestNegativeValues:
 
     def test_hi(self, capsys):
         base = ("measure", "--lambda", "paper", "--n", "3", "--lo=-1/3")
-        code, out, _ = run(capsys, *base, "--hi", "-1/5")
-        assert (code, out) == run(capsys, *base, "--hi=-1/5")[:2] and code == 0
-        assert json.loads(out)["hi"] == "-1/5"
+        for hi, text in (("-1/5", "-1/5"), ("-2e-1", "-1/5"), ("-1e-3", "-1/1000")):
+            code, out, _ = run(capsys, *base, "--hi", hi)
+            assert (code, out) == run(capsys, *base, f"--hi={hi}")[:2] and code == 0
+            assert json.loads(out)["hi"] == text
 
-    @pytest.mark.parametrize("C", ["-1/2", "-1"])
+    @pytest.mark.parametrize("C", ["-1/2", "-1", "-1e-3", "-5E0"])
     def test_C(self, C, capsys):
         code, _, err = run(capsys, "count", "--lambda", "paper", "--n", "2",
                            "--center", "0", "--C", C)
         assert code == 2 and err == "error: radius must be nonnegative\n"
 
     def test_delta(self, capsys):
-        code, _, err = run(capsys, "pack", "--lambda", "paper", "--n", "2",
-                           "--delta", "-1/4")
-        assert code == 2 and err == "error: delta must be positive\n"
+        for delta in ("-1/4", "-1e-3", "-.25e1"):
+            code, _, err = run(capsys, "pack", "--lambda", "paper", "--n", "2",
+                               "--delta", delta)
+            assert code == 2 and err == "error: delta must be positive\n"
 
     def test_negative_int_still_parses(self, capsys):
         code, _, err = run(capsys, "count", "--lambda", "paper", "--n", "-1",

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracpack import (
-    Ball,
     EnumerationCapError,
     IFSSystem,
     S_DIM,
@@ -138,32 +137,31 @@ def brute_count(lam, n, center: F, radius: F) -> int:
 
 class TestCounting:
     def test_unit_radius_ball_at_origin(self, sys_paper):
-        got = count_in_ball(sys_paper, 1, Ball(ZERO, F(1, 4)))
+        got = count_in_ball(sys_paper, 1, ZERO, F(1, 4))
         assert got.count == 3
 
     def test_half_radius_excludes_one_branch(self, sys_paper):
         # 1/4 is outside B(0, 1/8); 0 and u/4 stay inside.
-        got = count_in_ball(sys_paper, 1, Ball(ZERO, F(1, 8)))
+        got = count_in_ball(sys_paper, 1, ZERO, F(1, 8))
         assert got.count == 2
 
     def test_point_ball_hits_single_word(self, sys_paper):
-        got = count_in_ball(sys_paper, 2, Ball(SymbolicPoint(F(5, 16), F(0)), F(0)))
+        got = count_in_ball(sys_paper, 2, SymbolicPoint(F(5, 16), F(0)), F(0))
         assert got.count == 1
 
     def test_witnesses_deterministic(self, sys_paper):
-        ball = Ball(ZERO, F(1, 4))
-        a = count_in_ball(sys_paper, 1, ball, witnesses=True)
-        b = count_in_ball(sys_paper, 1, ball, witnesses=True)
+        a = count_in_ball(sys_paper, 1, ZERO, F(1, 4), witnesses=True)
+        b = count_in_ball(sys_paper, 1, ZERO, F(1, 4), witnesses=True)
         assert a.witnesses == b.witnesses == ("0", "1", "u")
         assert a.count == len(a.witnesses)
 
     def test_negative_depth_rejected(self, sys_paper):
         with pytest.raises(ValueError):
-            count_in_ball(sys_paper, -1, Ball(ZERO, F(1)))
+            count_in_ball(sys_paper, -1, ZERO, F(1))
 
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            Ball(ZERO, F(-1, 4))
+    def test_negative_radius_rejected(self, sys_paper):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            count_in_ball(sys_paper, 1, ZERO, F(-1, 4))
 
     @given(
         w=st.text(alphabet="01u", min_size=0, max_size=5),
@@ -175,18 +173,18 @@ class TestCounting:
         # Center at a projected word; radius num/2 * 4^-n covers C in {0,...,4}.
         center = exact_value(project(w), lam_toy)
         radius = F(num, 2) * F(1, 4 ** n)
-        got = count_in_ball(sys_toy, n, Ball(SymbolicPoint(center, F(0)), radius))
+        got = count_in_ball(sys_toy, n, SymbolicPoint(center, F(0)), radius)
         assert got.count == brute_count(lam_toy, n, center, radius)
 
     @given(w=st.text(alphabet="01u", min_size=0, max_size=4), n=st.integers(0, 4))
     @settings(max_examples=30, deadline=None)
     def test_witness_list_matches_count(self, w, n, sys_toy, lam_toy):
         center = exact_value(project(w), lam_toy)
-        ball = Ball(SymbolicPoint(center, F(0)), F(1, 4 ** n))
-        got = count_in_ball(sys_toy, n, ball, witnesses=True)
+        radius = F(1, 4 ** n)
+        got = count_in_ball(sys_toy, n, SymbolicPoint(center, F(0)), radius, witnesses=True)
         assert len(got.witnesses) == got.count == len(set(got.witnesses))
         assert all(len(v) == n for v in got.witnesses)
-        assert got.witnesses == tuple(brute_hits(lam_toy, n, center, ball.radius))
+        assert got.witnesses == tuple(brute_hits(lam_toy, n, center, radius))
 
 
 # Both keep u irrational; start=12 puts the below-grid gate inside the
@@ -237,10 +235,10 @@ class TestRankPath:
     @settings(max_examples=80, deadline=None)
     def test_rank_path_matches_walker(self, desc, n, w, num):
         sys = IFSSystem(make_lacunary(desc))
-        ball = Ball(project(w[:n + 6]), F(num, 6) * F(1, 4 ** n))
+        center, radius = project(w[:n + 6]), F(num, 6) * F(1, 4 ** n)
         with walker_only():
-            walked = count_in_ball(sys, n, ball).count
-        assert count_in_ball(sys, n, ball).count == walked
+            walked = count_in_ball(sys, n, center, radius).count
+        assert count_in_ball(sys, n, center, radius).count == walked
 
 
 # Irrational u with lam_1 = 1 or 3: the gate shuts from n = 2 or 4 on, so
@@ -259,11 +257,11 @@ class TestWalkPastGate:
         lam = make_lacunary(desc)
         x = project(w[:n + 2])
         center = SymbolicPoint(x.p + F(shift, 4 ** (n + 1)), x.q)
-        ball = Ball(center, F(num, 4) * F(1, 4 ** n))
-        lo = (center.p - ball.radius, center.q)
-        hi = (center.p + ball.radius, center.q)
+        radius = F(num, 4) * F(1, 4 ** n)
+        lo = (center.p - radius, center.q)
+        hi = (center.p + radius, center.q)
         want, _ = span_count_oracle(lam, n, lo, hi, 0)
-        assert count_in_ball(IFSSystem(lam), n, ball).count == want
+        assert count_in_ball(IFSSystem(lam), n, center, radius).count == want
 
 
 class TestBallEnds:
@@ -286,7 +284,7 @@ class TestBallEnds:
         radius = F(num, den * 4 ** n)
         lo = (center.p - radius, center.q)
         hi = (center.p + radius, center.q)
-        got = count_in_ball(IFSSystem(lam), n, Ball(center, radius)).count
+        got = count_in_ball(IFSSystem(lam), n, center, radius).count
         assert got == span_count_oracle(lam, n, lo, hi, 0)[0]
 
 
@@ -302,6 +300,12 @@ def inside_words(lam, n, lo, hi, width) -> list[str]:
     candidates = ("".join(t) for t in itertools.product("01u", repeat=n))
     return [w for w in candidates
             if lo <= exact_value(project(w), lam) <= hi - F(width, 4 ** n)]
+
+
+def int_ends(lo, hi) -> tuple[list[int], int]:
+    """count_span's integer ends for the (p, q) ends lo and hi, and their den."""
+    den = math.lcm(*(x.denominator for x in (*lo, *hi)))
+    return [int(x * den) for x in (*lo, *hi)], den
 
 
 def expand(heads, n) -> list[str]:
@@ -328,10 +332,11 @@ class TestKeyedWalk:
         ends = [(x.p + F(k, 3 * 4 ** n), x.q)
                 for x, k in ((project(a[:n + 2]), ka), (project(b[:n + 2]), kb))]
         lo, hi = sorted(ends, key=lambda e: e[0] + e[1] * u)
+        ends, den = int_ends(lo, hi)
         heads = []
-        got = count_span(IFSSystem(lam), n, lo, hi, width, heads)
+        got = count_span(IFSSystem(lam), n, ends, den, width, heads)
         assert got == span_count_oracle(lam, n, lo, hi, width)
-        assert count_span(IFSSystem(lam), n, lo, hi, width) == got
+        assert count_span(IFSSystem(lam), n, ends, den, width) == got
         assert expand(heads, n) == inside_words(lam, n, lo, hi, width)
 
     # Radii k/3 * 4**-n around a centre with a q-part.
@@ -343,10 +348,10 @@ class TestKeyedWalk:
     def test_witnesses_match_brute_force(self, desc, n, w, k):
         lam = make_lacunary(desc)
         center = project(w[:n + 2])
-        ball = Ball(center, F(k, 3 * 4 ** n))
-        lo = (center.p - ball.radius, center.q)
-        hi = (center.p + ball.radius, center.q)
-        got = count_in_ball(IFSSystem(lam), n, ball, witnesses=True)
+        radius = F(k, 3 * 4 ** n)
+        lo = (center.p - radius, center.q)
+        hi = (center.p + radius, center.q)
+        got = count_in_ball(IFSSystem(lam), n, center, radius, witnesses=True)
         assert got.witnesses == tuple(inside_words(lam, n, lo, hi, 0))
         assert got.count == span_count_oracle(lam, n, lo, hi, 0)[0]
 
@@ -354,8 +359,9 @@ class TestKeyedWalk:
         # u = 1/16 + 4**-6 + 4**-14: only the q-part orders the ends.
         u, grid = (F(0), F(1)), (F(1, 16), F(0))
         with pytest.raises(ValueError, match="out of order"):
-            count_span(sys_toy, 2, u, grid, 1)
-        assert count_span(sys_toy, 2, grid, u, 0) == span_count_oracle(lam_toy, 2, grid, u, 0)
+            count_span(sys_toy, 2, *int_ends(u, grid), 1)
+        assert (count_span(sys_toy, 2, *int_ends(grid, u), 0)
+                == span_count_oracle(lam_toy, 2, grid, u, 0))
 
 
 class TestDistinctPoints:

