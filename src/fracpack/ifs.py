@@ -369,25 +369,27 @@ def count_in_ball(sys: IFSSystem, n: int, center: SymbolicPoint, radius: Fractio
 
 
 def _level_keys(sys: IFSSystem, n: int, keep_q: bool = False):
-    """Exact integer keys of the points of levels 0..n.
+    """Exact integer keys of the points of levels 0..n-1, and level n's steps.
 
     u_J = N / 4**L is lam.truncation(g) for the largest q-part g =
     (4**n - 1)//3, so a length-n word at P + Q*u (scaled by 4**n) has
     4**L * (P + Q*u) = V + theta with the integer V = P*4**L + Q*N and
     0 <= theta < 1 (0 for rational u or Q = 0): the int order of
     (V << shift) | Q is value order, and for rational u, V is the value.
-    Returns (L, N, T, shift, levels), with T = lam_{J+1} the truncation's
-    tail exponent (None for rational u); levels yields the keys of levels
-    0..n, level k adding the digit 0, 1 or u at weight 4**(n-k) to level
-    k-1.  A level-k word stands for its zero-padded length-n word, the
-    same point, so its level-k cell floor(4**k * x) is V >> 2*(L + n - k).
-    With keep_q a level is a sorted list, which list.sort merges from the
-    three sorted runs that shift level k-1: (V << 2n) | Q, one per word,
-    for irrational u, or V (shift 0) deduped on every level but the last.
+    Returns (L, N, T, shift, levels, steps), with T = lam_{J+1} the
+    truncation's tail exponent (None for rational u); levels yields the
+    keys of levels 0..n-1, level k adding the digit 0, 1 or u at weight
+    4**(n-k) to level k-1, and steps holds those three digits at weight 1.
+    Level n is never built: it is the three sorted runs D + d, d in steps,
+    of the last level D (for n = 0, levels yields level 0 alone and each
+    step is 0).  A level-k word stands for its zero-padded length-n word,
+    the same point, so its level-k cell floor(4**k * x) is
+    V >> 2*(L + n - k).  With keep_q a level is a sorted list, which
+    list.sort merges from the three sorted runs that shift level k-1:
+    (V << 2n) | Q, one per word, for irrational u, or V (shift 0) deduped.
     Otherwise (shift 0) it is the set of distinct V, as equal-V prefixes
-    stay equal on every extension; level n (n > 0) is a one-pass iterator.
-    Raises EnclosureCapError when that truncation needs a term past the
-    materialization cap.
+    stay equal on every extension.  Raises EnclosureCapError when that
+    truncation needs a term past the materialization cap.
     """
     if n < 0:
         raise ValueError("depth must be >= 0")
@@ -401,37 +403,34 @@ def _level_keys(sys: IFSSystem, n: int, keep_q: bool = False):
     L, N, T = t
     exact = sys.lam.u_is_rational
     shift = 2 * n if keep_q and not exact else 0
-    one, u = 1 << 2 * L + shift, (N << shift) | (shift > 0)
+    steps = (0, 1 << 2 * L + shift, (N << shift) | (shift > 0)) if n else (0, 0, 0)
 
     def levels():
         keys = [0] if keep_q else {0}
         yield keys
-        for k in range(1, n + 1):
-            w = 4 ** (n - k)
-            digits = (0, one * w, u * w)
+        for k in range(1, n):
+            digits = [d * 4 ** (n - k) for d in steps]
             if keep_q:
                 keys = keys + [v + d for d in digits[1:] for v in keys]
                 keys.sort()
-                if exact and k < n:
+                if exact:
                     keys[1:] = [b for a, b in zip(keys, keys[1:]) if a != b]
-            elif k < n:
-                keys = {v + d for v in keys for d in digits}
             else:
-                # Read once by every caller: no set is built for level n.
-                keys = (v + d for v in keys for d in digits)
+                keys = {v + d for v in keys for d in digits}
             yield keys
 
-    return L, N, T, shift, levels()
+    return L, N, T, shift, levels(), steps
 
 
 def distinct_level_points(sys: IFSSystem, n: int) -> int:
     """Number of distinct projections among all 3**n length-n words.
 
-    Enumerates the level's sorted keys (_level_keys, q-part kept) and
-    dedupes them in a set.  Irrational-mode counts are always exactly
-    3**n because the digit supports of p and q recover the word.
+    Counts the distinct keys D + d over level n's three digit steps d,
+    for the sorted level-(n-1) keys D of _level_keys (q-part kept).
+    Irrational-mode counts are always exactly 3**n because the digit
+    supports of p and q recover the word.
     """
-    *_, levels = _level_keys(sys, n, keep_q=True)
+    *_, levels, steps = _level_keys(sys, n, keep_q=True)
     for keys in levels:
         pass
-    return len(set(keys))
+    return len({v + d for v in keys for d in steps})

@@ -48,13 +48,14 @@ def _power_scaled(count: int, x: Fraction, sign: int, what: str) -> float:
 
     The float expression count * float(x)**s (sign 1) or
     count / float(x)**s (sign -1) answers whenever x and count convert to
-    floats.  Past that, the logs of count and of x's numerator and
-    denominator give the result, and CapError is raised when it lies
-    beyond float range.
+    floats and float(x) is not 0.0.  Past that, the logs of count and of
+    x's numerator and denominator give the result, and CapError is raised
+    when it lies beyond float range.
     """
     try:
         f = float(x) ** S_DIM
-        return count * f if sign > 0 else count / f
+        if f:
+            return count * f if sign > 0 else count / f
     except OverflowError:
         pass
     if not count:
@@ -247,27 +248,44 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
                                 delta: Fraction) -> PackingEstimate:
     """Greedy packing count among distinct level-n points.
 
-    Sweeps the sorted keys of _level_keys, accepting a point whenever its
+    Sweeps the level-n keys in order, accepting a point whenever its
     distance to the last accepted one (minimal over all accepted points)
-    exceeds delta.  The accepted centers support disjoint closed balls of
+    exceeds delta.  Level n is never built: its keys are the three sorted
+    runs D + d of the level-(n-1) keys D, one per digit step d of
+    _level_keys.  The accepted centers support disjoint closed balls of
     radius delta/2, so accepted * delta**s estimates the packing
     pre-measure sum at gauge delta.
 
     With delta * 4**n = dnum/dden, that distance exceeds delta exactly
     when X + dQ*4**L*(u - u_J)*dden > 0 for the integer X = dV*dden -
     dnum*4**L and 0 < u - u_J < (4/3)*4**-lam_{J+1} (0 for rational u).
-    So X <= -dden rejects: each accepted key bisects past those keys.  X's
+    So X <= -dden rejects: each accepted key jumps past those keys.  X's
     sign decides (dQ's if X == 0) unless X and dQ differ in sign and
     3*|X|*4**m < 4*|dQ|*dden, m = T - L for the tail exponent T = lam_{J+1}
     from _level_keys: affine_sign_scaled does.  An X < 0 that decides
-    for the largest |dQ| bisects past its V's block.
+    for the largest |dQ| jumps past its V's block.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    L, N, T, shift, levels = _level_keys(sys, n, keep_q=True)
+    L, N, T, shift, levels, steps = _level_keys(sys, n, keep_q=True)
     for keys in levels:
         pass
+    keys.append(math.inf)  # ends every run
+    d0, d1, d2 = h0, h1, h2 = steps  # each run's head; keys[0] == 0
+
+    def ceiling(x):
+        """The smallest level-n key >= x, inf past the last, for rising x:
+        the least head, after each run whose head lies below x bisects."""
+        nonlocal h0, h1, h2
+        if h0 < x:
+            h0 = keys[bisect_left(keys, x - d0)] + d0
+        if h1 < x:
+            h1 = keys[bisect_left(keys, x - d1)] + d1
+        if h2 < x:
+            h2 = keys[bisect_left(keys, x - d2)] + d2
+        return h0 if h0 < h1 and h0 < h2 else h1 if h1 < h2 else h2
+
     mask = (1 << shift) - 1
     dnum, dden = (delta * 4 ** n).as_integer_ratio()
     gap = dnum << 2 * L
@@ -277,15 +295,14 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
         # Either m gives 3 * 4**m >= 4*|dQ|, so X >= dden always decides.
         m = min(T - L, shift + dden.bit_length())
         reach = 4 * (mask // 3) * dden  # 4*|dQ|*dden at the largest |dQ|
-    accepted = i = 0
-    while i < len(keys):
-        accepted, last_V, last_Q = accepted + 1, keys[i] >> shift, keys[i] & mask
-        i = bisect_left(keys, last_V + step << shift, i + 1)
-        while not exact and i < len(keys):
-            key = keys[i]
+    accepted, key = 0, keys[0]
+    while key < math.inf:
+        accepted, last_V, last_Q = accepted + 1, key >> shift, key & mask
+        key = ceiling(last_V + step << shift)
+        while not exact and key < math.inf:
             X = ((key >> shift) - last_V) * dden - gap
             if X < 0 and 3 * -X << 2 * m >= reach:
-                i = bisect_left(keys, (key >> shift) + 1 << shift, i + 1)
+                key = ceiling((key >> shift) + 1 << shift)
                 continue
             dQ = (key & mask) - last_Q
             if X * dQ < 0 and 3 * abs(X) << 2 * m < 4 * abs(dQ) * dden:
@@ -293,7 +310,7 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
                 X = affine_sign_scaled((X - dQ * N * dden) >> 2 * L, dQ * dden, lam)
             if (X or dQ) > 0:
                 break
-            i += 1
+            key = ceiling(key + 1)
     return PackingEstimate(n=n, delta=delta, accepted=accepted)
 
 
@@ -335,12 +352,20 @@ def box_counting_profile(sys: IFSSystem, n_max: int) -> BoxCountProfile:
     A level-n point lies in cell floor(P + Q*u), read exactly off its
     _level_keys key V as V >> 2*(L + n_max - n): grid-aligned values
     (Q = 0, or rational u landing on an integer) sit in the cell they
-    start.  The keys of one level are built from those of the level
-    before, deduplicated at every step.
+    start.  Row n reads the distinct keys of level n-1, so level n_max is
+    never built: a key's cell c on the level-n grid holds its digit-0
+    child, the digit 1 adds exactly one cell, and the digit u less than a
+    third of one (u < 1/3), so the occupied cells are those c and c + 1.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    L, _, _, _, levels = _level_keys(sys, n_max)
-    rows = tuple(BoxCountRow(n, len({v >> 2 * (L + n_max - n) for v in keys}))
-                 for n, keys in enumerate(levels) if n)
+    L, _, _, _, levels, _ = _level_keys(sys, n_max)
+    rows = tuple(BoxCountRow(n, _next_level_cells(keys, 2 * (L + n_max - n)))
+                 for n, keys in enumerate(levels, 1))
     return BoxCountProfile(sys.lam.descriptor(), rows)
+
+
+def _next_level_cells(keys, s: int) -> int:
+    """Number of cells c and c + 1 over the cells c = v >> s of the keys."""
+    cells = {v >> s for v in keys}
+    return len(cells) + sum(1 for c in cells if c + 1 not in cells)

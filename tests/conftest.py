@@ -94,3 +94,33 @@ def influence_scan_oracle(w: str, j: int, lam) -> list[tuple[int, int]]:
         if w[i - 1] == "u" and all(w[i - 1 + lam.term(m)] == "0" for m in range(1, k + 1)):
             out.append((i, k))
     return out
+
+
+def full_level_keys(sys, n, keep_q=False):
+    """(L, N, T, shift, levels) with every level 0..n built in full.
+
+    The level enumeration that pack, boxcount and distinct_level_points
+    used before level n was read as three runs of level n-1, kept as their
+    oracle: level k adds the digit 0, 1 or u at weight 4**(n-k) to level
+    k-1.  With keep_q a level is a sorted list, (V << 2n) | Q for
+    irrational u, or V deduped on every level but the last; otherwise it
+    is the set of distinct V.
+    """
+    L, N, T = sys.lam.truncation((4 ** n - 1) // 3)
+    exact = sys.lam.u_is_rational
+    shift = 2 * n if keep_q and not exact else 0
+    one, u = 1 << 2 * L + shift, (N << shift) | (shift > 0)
+    keys = [0] if keep_q else {0}
+    levels = [keys]
+    for k in range(1, n + 1):
+        w = 4 ** (n - k)
+        digits = (0, one * w, u * w)
+        if keep_q:
+            keys = keys + [v + d for d in digits[1:] for v in keys]
+            keys.sort()
+            if exact and k < n:
+                keys[1:] = [b for a, b in zip(keys, keys[1:]) if a != b]
+        else:
+            keys = {v + d for v in keys for d in digits}
+        levels.append(keys)
+    return L, N, T, shift, levels

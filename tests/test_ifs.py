@@ -21,7 +21,7 @@ from fracpack import (
     validate_word,
 )
 from fracpack.ifs import _lex_rank, count_span
-from conftest import exact_value, span_count_oracle, walker_only
+from conftest import exact_value, full_level_keys, span_count_oracle, walker_only
 
 ZERO = SymbolicPoint(F(0), F(0))
 
@@ -374,6 +374,16 @@ class TestDistinctPoints:
         # u = 1/4 makes word 'u' collide with word '1' one level down.
         sys = IFSSystem(make_lacunary("explicit:1"))
         assert distinct_level_points(sys, 3) == 21
+
+    @pytest.mark.parametrize("desc", ["paper", "geometric:b=3,start=3",
+                                      "geometric:b=3,start=4", "explicit:1",
+                                      "explicit:2,6,14", "explicit:1,3,7"])
+    def test_matches_full_last_level(self, desc):
+        # Level n is three runs of level n-1; the built level n is the oracle.
+        sys = IFSSystem(make_lacunary(desc))
+        for n in range(0, 9):
+            *_, levels = full_level_keys(sys, n, keep_q=True)
+            assert distinct_level_points(sys, n) == len(set(levels[-1]))
 
     def test_enumeration_cap_enforced(self, sys_paper):
         with pytest.raises(EnumerationCapError):

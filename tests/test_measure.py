@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction as F
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracpack import (
+    CapError,
     EnumerationCapError,
     IFSSystem,
     S_DIM,
@@ -27,7 +29,8 @@ from fracpack import (
 )
 from fracpack import measure
 from fracpack.numeric import _u_enclosure_info, affine_sign_scaled
-from conftest import exact_value, rational_sign, span_count_oracle, walker_only
+from conftest import (exact_value, full_level_keys, rational_sign, span_count_oracle,
+                      walker_only)
 
 ZERO = SymbolicPoint(F(0), F(0))
 
@@ -90,6 +93,85 @@ def sign_test_oracle(lam, n, delta):
             accepted, last = accepted + 1, (P, Q)
     cells = [len({floor(P, Q) for P, Q in level_pairs(m)}) for m in range(1, n + 1)]
     return accepted, cells
+
+
+def full_level_pack(sys, n, delta):
+    """Greedy pack count by the sweep over the fully built sorted level n.
+
+    The sweep as it stood before level n was read as three runs: one
+    bisect past every key that X <= -dden rejects, then, for irrational u,
+    key-by-key integer tests with the exact sign test as the fallback.
+    """
+    L, N, T, shift, levels = full_level_keys(sys, n, keep_q=True)
+    keys = levels[-1]
+    mask = (1 << shift) - 1
+    dnum, dden = (delta * 4 ** n).as_integer_ratio()
+    gap = dnum << 2 * L
+    lam, exact = sys.lam, sys.lam.u_is_rational
+    step = gap // dden + exact
+    if not exact:
+        m = min(T - L, shift + dden.bit_length())
+        reach = 4 * (mask // 3) * dden
+    accepted = i = 0
+    while i < len(keys):
+        accepted, last_V, last_Q = accepted + 1, keys[i] >> shift, keys[i] & mask
+        i = bisect_left(keys, last_V + step << shift, i + 1)
+        while not exact and i < len(keys):
+            key = keys[i]
+            X = ((key >> shift) - last_V) * dden - gap
+            if X < 0 and 3 * -X << 2 * m >= reach:
+                i = bisect_left(keys, (key >> shift) + 1 << shift, i + 1)
+                continue
+            dQ = (key & mask) - last_Q
+            if X * dQ < 0 and 3 * abs(X) << 2 * m < 4 * abs(dQ) * dden:
+                X = affine_sign_scaled((X - dQ * N * dden) >> 2 * L, dQ * dden, lam)
+            if (X or dQ) > 0:
+                break
+            i += 1
+    return accepted
+
+
+def full_level_cells(sys, n_max):
+    """Occupied cells at levels 1..n_max, each read off its own full level."""
+    L, _, _, _, levels = full_level_keys(sys, n_max)
+    return [len({v >> 2 * (L + n_max - n) for v in keys})
+            for n, keys in enumerate(levels) if n]
+
+
+LEVEL_SEQUENCES = ["paper", "geometric:b=3,start=3", "geometric:b=3,start=4",
+                   "explicit:1", "explicit:2,6,14", "explicit:1,3,7"]
+# k/4**j ties a level gap exactly; a free denominator mostly does not.
+gauges = st.one_of(
+    st.builds(lambda k, j: F(k, 4 ** j), st.integers(1, 16), st.integers(0, 11)),
+    st.builds(F, st.integers(1, 200), st.integers(1, 4 ** 9)))
+
+
+class TestLevelRuns:
+    """pack and boxcount read level n as three runs of level n-1; the
+    fully built levels are the oracle."""
+
+    @given(desc=st.sampled_from(LEVEL_SEQUENCES), n=st.integers(0, 8), delta=gauges)
+    @example(desc="paper", n=0, delta=F(1, 4))
+    @example(desc="explicit:1", n=1, delta=F(1, 4))
+    @example(desc="explicit:1", n=8, delta=F(1, 4 ** 9))        # coincident points
+    @example(desc="explicit:1,3,7", n=8, delta=F(1, 4 ** 8))    # ties the level gap
+    @example(desc="explicit:2,6,14", n=7, delta=F(3, 4 ** 7))
+    @example(desc="geometric:b=3,start=3", n=8, delta=F(1, 4 ** 8))
+    @example(desc="geometric:b=3,start=4", n=8, delta=F(1, 4 ** 13))  # step 0: dV = 0 passes
+    @example(desc="paper", n=8, delta=F(1, 4 ** 9))
+    @example(desc="paper", n=8, delta=F(1000))                  # one point accepted
+    @settings(max_examples=80, deadline=None)
+    def test_pack_matches_full_level_sweep(self, desc, n, delta):
+        sys = IFSSystem(make_lacunary(desc))
+        assert (packing_premeasure_estimate(sys, n, delta).accepted
+                == full_level_pack(sys, n, delta))
+
+    @pytest.mark.parametrize("desc", LEVEL_SEQUENCES)
+    def test_boxcount_matches_full_levels(self, desc):
+        sys = IFSSystem(make_lacunary(desc))
+        for n_max in range(1, 9):
+            assert ([r.cells for r in box_counting_profile(sys, n_max).rows]
+                    == full_level_cells(sys, n_max))
 
 
 class TestMeasureBounds:
@@ -387,27 +469,26 @@ class TestPacking:
             est = packing_premeasure_estimate(sys_paper, n, F(1, 4 ** k))
         assert (est.accepted, sign.call_count) == (accepted, 0)
 
-    def test_rejected_equal_v_blocks_skipped(self, sys_paper, monkeypatch):
+    def test_tiny_value_takes_the_log_path(self, sys_paper):
+        # float(delta) is 0.0, but 9 * delta**s is a subnormal float.
+        delta = F(1, 10 ** 400)
+        est = packing_premeasure_estimate(sys_paper, 2, delta)
+        logs = math.log(9) + S_DIM * (math.log(delta.numerator) - math.log(delta.denominator))
+        assert est.accepted == 9
+        assert 0 < est.value == pytest.approx(math.exp(logs), rel=1e-6)
+        with pytest.raises(CapError):
+            measure._power_scaled(1, delta, -1, "value")
+
+    def test_rejected_equal_v_blocks_skipped(self, sys_paper):
         # At delta = 4**-9 the tail bound rejects the rest of every V = P
-        # block at once: one bisect per accepted key and one per block,
-        # where a key-by-key scan reads each of the 6561 keys two or three
-        # times.
-        reads = []
-
-        class CountingList(list):
-            def __getitem__(self, i):
-                reads.append(i)
-                return super().__getitem__(i)
-
-        def counted(*args, real=measure._level_keys, **kwargs):
-            L, N, exact, shift, levels = real(*args, **kwargs)
-            *_, keys = levels
-            return L, N, exact, shift, iter([CountingList(keys)])
-
-        monkeypatch.setattr("fracpack.measure._level_keys", counted)
-        est = packing_premeasure_estimate(sys_paper, 8, F(1, 4 ** 9))
+        # block at once: one ceiling lookup per accepted key and one per
+        # block, each at most one bisect in each of the three runs that
+        # make up level 8.  A key-by-key scan makes one lookup per key, and
+        # each moves at least the run it read from: 6561 bisects or more.
+        with mock.patch("fracpack.measure.bisect_left", wraps=bisect_left) as bisects:
+            est = packing_premeasure_estimate(sys_paper, 8, F(1, 4 ** 9))
         assert est.accepted == 256
-        assert len(reads) <= 2 * 256 * (3 ** 8).bit_length()
+        assert bisects.call_count <= 3 * (2 * 256 + 1)
 
 
 class TestBoxCounting:
