@@ -271,21 +271,6 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
     L, N, T, shift, levels, steps = _level_keys(sys, n, keep_q=True)
     for keys in levels:
         pass
-    keys.append(math.inf)  # ends every run
-    d0, d1, d2 = h0, h1, h2 = steps  # each run's head; keys[0] == 0
-
-    def ceiling(x):
-        """The smallest level-n key >= x, inf past the last, for rising x:
-        the least head, after each run whose head lies below x bisects."""
-        nonlocal h0, h1, h2
-        if h0 < x:
-            h0 = keys[bisect_left(keys, x - d0)] + d0
-        if h1 < x:
-            h1 = keys[bisect_left(keys, x - d1)] + d1
-        if h2 < x:
-            h2 = keys[bisect_left(keys, x - d2)] + d2
-        return h0 if h0 < h1 and h0 < h2 else h1 if h1 < h2 else h2
-
     mask = (1 << shift) - 1
     dnum, dden = (delta * 4 ** n).as_integer_ratio()
     gap = dnum << 2 * L
@@ -295,11 +280,16 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
         # Either m gives 3 * 4**m >= 4*|dQ|, so X >= dden always decides.
         m = min(T - L, shift + dden.bit_length())
         reach = 4 * (mask // 3) * dden  # 4*|dQ|*dden at the largest |dQ|
+    # end lies past every level-n key and every x looked up: it ends each run.
+    end = (keys[-1] + max(steps) >> shift) + step + 1 << shift
+    keys.append(end)
+    ceiling = _runs_ceiling(keys, steps).send
+    ceiling(None)
     accepted, key = 0, keys[0]
-    while key < math.inf:
+    while key < end:
         accepted, last_V, last_Q = accepted + 1, key >> shift, key & mask
         key = ceiling(last_V + step << shift)
-        while not exact and key < math.inf:
+        while not exact and key < end:
             X = ((key >> shift) - last_V) * dden - gap
             if X < 0 and 3 * -X << 2 * m >= reach:
                 key = ceiling((key >> shift) + 1 << shift)
@@ -312,6 +302,32 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
                 break
             key = ceiling(key + 1)
     return PackingEstimate(n=n, delta=delta, accepted=accepted)
+
+
+def _runs_ceiling(keys: list, steps: tuple):
+    """Coroutine whose send(x), after one send(None), gives the smallest
+    key >= x, below no earlier x, of the sorted runs keys + d, d in steps,
+    for keys[0] == 0 and a last key past every other run key and every x.
+    A run whose head lies below x moves one or two keys on, and bisects
+    only when that is not enough: a sweep that accepts most keys then
+    bisects on few lookups."""
+    d0, d1, d2 = h0, h1, h2 = steps
+    i0 = i1 = i2 = 0
+    x = yield
+    while True:
+        if h0 < x:
+            i0 = (i0 + 1 if keys[i0 + 1] + d0 >= x else i0 + 2 if keys[i0 + 2] + d0 >= x
+                  else bisect_left(keys, x - d0, i0 + 3))
+            h0 = keys[i0] + d0
+        if h1 < x:
+            i1 = (i1 + 1 if keys[i1 + 1] + d1 >= x else i1 + 2 if keys[i1 + 2] + d1 >= x
+                  else bisect_left(keys, x - d1, i1 + 3))
+            h1 = keys[i1] + d1
+        if h2 < x:
+            i2 = (i2 + 1 if keys[i2 + 1] + d2 >= x else i2 + 2 if keys[i2 + 2] + d2 >= x
+                  else bisect_left(keys, x - d2, i2 + 3))
+            h2 = keys[i2] + d2
+        x = yield h0 if h0 < h1 and h0 < h2 else h1 if h1 < h2 else h2
 
 
 @dataclass(frozen=True)

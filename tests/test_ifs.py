@@ -377,7 +377,8 @@ class TestDistinctPoints:
 
     @pytest.mark.parametrize("desc", ["paper", "geometric:b=3,start=3",
                                       "geometric:b=3,start=4", "explicit:1",
-                                      "explicit:2,6,14", "explicit:1,3,7"])
+                                      "explicit:2,6,14", "explicit:1,3,7",
+                                      "explicit:1,600"])
     def test_matches_full_last_level(self, desc):
         # Level n is three runs of level n-1; the built level n is the oracle.
         sys = IFSSystem(make_lacunary(desc))

@@ -138,8 +138,9 @@ def full_level_cells(sys, n_max):
             for n, keys in enumerate(levels) if n]
 
 
+# explicit:1,600 puts a 1200-bit step into every key past level 0.
 LEVEL_SEQUENCES = ["paper", "geometric:b=3,start=3", "geometric:b=3,start=4",
-                   "explicit:1", "explicit:2,6,14", "explicit:1,3,7"]
+                   "explicit:1", "explicit:2,6,14", "explicit:1,3,7", "explicit:1,600"]
 # k/4**j ties a level gap exactly; a free denominator mostly does not.
 gauges = st.one_of(
     st.builds(lambda k, j: F(k, 4 ** j), st.integers(1, 16), st.integers(0, 11)),
@@ -160,6 +161,8 @@ class TestLevelRuns:
     @example(desc="geometric:b=3,start=4", n=8, delta=F(1, 4 ** 13))  # step 0: dV = 0 passes
     @example(desc="paper", n=8, delta=F(1, 4 ** 9))
     @example(desc="paper", n=8, delta=F(1000))                  # one point accepted
+    @example(desc="explicit:1,600", n=1, delta=F(1, 4))         # a lookup past the end
+    @example(desc="explicit:1,600", n=6, delta=F(1, 4 ** 7))
     @settings(max_examples=80, deadline=None)
     def test_pack_matches_full_level_sweep(self, desc, n, delta):
         sys = IFSSystem(make_lacunary(desc))
@@ -482,13 +485,27 @@ class TestPacking:
     def test_rejected_equal_v_blocks_skipped(self, sys_paper):
         # At delta = 4**-9 the tail bound rejects the rest of every V = P
         # block at once: one ceiling lookup per accepted key and one per
-        # block, each at most one bisect in each of the three runs that
-        # make up level 8.  A key-by-key scan makes one lookup per key, and
-        # each moves at least the run it read from: 6561 bisects or more.
-        with mock.patch("fracpack.measure.bisect_left", wraps=bisect_left) as bisects:
+        # block, plus the first, each at most one bisect in each of the
+        # three runs that make up level 8.  A key-by-key scan makes one
+        # lookup per key, 6561 or more, and its one-key moves bisect no
+        # run, so the lookups themselves are counted.
+        lookups = 0
+
+        def counting_runs(*args):
+            nonlocal lookups
+            runs = runs_ceiling(*args)
+            x = yield runs.send(None)
+            while True:
+                lookups += 1
+                x = yield runs.send(x)
+
+        runs_ceiling = measure._runs_ceiling
+        with mock.patch.object(measure, "_runs_ceiling", counting_runs), \
+                mock.patch("fracpack.measure.bisect_left", wraps=bisect_left) as bisects:
             est = packing_premeasure_estimate(sys_paper, 8, F(1, 4 ** 9))
         assert est.accepted == 256
-        assert bisects.call_count <= 3 * (2 * 256 + 1)
+        assert lookups <= 2 * 256 + 1
+        assert bisects.call_count <= 3 * lookups
 
 
 class TestBoxCounting:
