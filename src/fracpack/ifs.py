@@ -372,24 +372,23 @@ def _level_keys(sys: IFSSystem, n: int, keep_q: bool = False):
     """Exact integer keys of the points of levels 0..n-1, and level n's steps.
 
     u_J = N / 4**L is lam.truncation(g) for the largest q-part g =
-    (4**n - 1)//3, so a length-n word at P + Q*u (scaled by 4**n) has
-    4**L * (P + Q*u) = V + theta with the integer V = P*4**L + Q*N and
-    0 <= theta < 1 (0 for rational u or Q = 0): the int order of
+    (4**n - 1)//3, so a length-k word (k <= n) at P + Q*u, scaled by 4**k,
+    has 4**L * (P + Q*u) = V + theta with the integer V = P*4**L + Q*N
+    and 0 <= theta < 1 (0 for rational u or Q = 0): the int order of
     (V << shift) | Q is value order, and for rational u, V is the value.
     Returns (L, N, T, shift, levels, steps), with T = lam_{J+1} the
-    truncation's tail exponent (None for rational u); levels yields the
-    keys of levels 0..n-1, level k adding the digit 0, 1 or u at weight
-    4**(n-k) to level k-1, and steps holds those three digits at weight 1.
-    Level n is never built: it is the three sorted runs D + d, d in steps,
-    of the last level D (for n = 0, levels yields level 0 alone and each
-    step is 0).  A level-k word stands for its zero-padded length-n word,
-    the same point, so its level-k cell floor(4**k * x) is
-    V >> 2*(L + n - k).  With keep_q a level is a sorted list, which
-    list.sort merges from the three sorted runs that shift level k-1:
-    (V << 2n) | Q, one per word, for irrational u, or V (shift 0) deduped.
-    Otherwise (shift 0) it is the set of distinct V, as equal-V prefixes
-    stay equal on every extension.  Raises EnclosureCapError when that
-    truncation needs a term past the materialization cap.
+    truncation's tail exponent (None for rational u).  levels yields the
+    sorted keys of levels 0..n-1, each in its own scale: level k puts the
+    digit 0, 1 or u in front of level k-1 at weight w = 4**(k-1).  As
+    level k-1 lies below w/3 and u < 1/3, level k is the merge of D and
+    D + u*w, then D + w.  Level n is never built: it is the three sorted
+    runs D + d of the last level D, d in steps, the first digits at weight
+    4**(n-1) (for n = 0, levels yields level 0 alone, and each step is 0).
+    Keys are (V << 2n) | Q, one per word, with keep_q for irrational u;
+    otherwise the distinct V (shift 0), as equal-V words stay equal under
+    every extension; there a level-k point's level-(k+1) cell is
+    (V << 2) >> 2L, as 4*V is the V of its digit-0 child.  Raises
+    EnclosureCapError for a truncation past the materialization cap.
     """
     if n < 0:
         raise ValueError("depth must be >= 0")
@@ -401,31 +400,29 @@ def _level_keys(sys: IFSSystem, n: int, keep_q: bool = False):
         raise EnclosureCapError(
             f"level {n} needs a truncation of u past the materialization cap")
     L, N, T = t
-    exact = sys.lam.u_is_rational
-    shift = 2 * n if keep_q and not exact else 0
-    steps = (0, 1 << 2 * L + shift, (N << shift) | (shift > 0)) if n else (0, 0, 0)
+    shift = 2 * n if keep_q and not sys.lam.u_is_rational else 0
+    one, u = 1 << 2 * L + shift, (N << shift) | (shift > 0)
 
     def levels():
-        keys = [0] if keep_q else {0}
+        keys = [0]
         yield keys
         for k in range(1, n):
-            digits = [d * 4 ** (n - k) for d in steps]
-            if keep_q:
-                keys = keys + [v + d for d in digits[1:] for v in keys]
-                keys.sort()
-                if exact:
-                    keys[1:] = [b for a, b in zip(keys, keys[1:]) if a != b]
-            else:
-                keys = {v + d for v in keys for d in digits}
+            d1, du = one << 2 * k - 2, u << 2 * k - 2
+            low = keys + [v + du for v in keys]
+            low.sort()
+            if not shift:
+                low[1:] = [b for a, b in zip(low, low[1:]) if a != b]
+            low += [v + d1 for v in keys]
+            keys = low
             yield keys
 
-    return L, N, T, shift, levels(), steps
+    return L, N, T, shift, levels(), (0, one << 2 * n - 2, u << 2 * n - 2) if n else (0, 0, 0)
 
 
 def distinct_level_points(sys: IFSSystem, n: int) -> int:
     """Number of distinct projections among all 3**n length-n words.
 
-    Counts the distinct keys D + d over level n's three digit steps d,
+    Counts the distinct keys D + d over level n's first-digit steps d,
     for the sorted level-(n-1) keys D of _level_keys (q-part kept).
     Irrational-mode counts are always exactly 3**n because the digit
     supports of p and q recover the word.

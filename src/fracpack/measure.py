@@ -251,10 +251,10 @@ def packing_premeasure_estimate(sys: IFSSystem, n: int,
     Sweeps the level-n keys in order, accepting a point whenever its
     distance to the last accepted one (minimal over all accepted points)
     exceeds delta.  Level n is never built: its keys are the three sorted
-    runs D + d of the level-(n-1) keys D, one per digit step d of
-    _level_keys.  The accepted centers support disjoint closed balls of
-    radius delta/2, so accepted * delta**s estimates the packing
-    pre-measure sum at gauge delta.
+    runs D, D + u*4**(n-1) and D + 4**(n-1) of the level-(n-1) keys D of
+    _level_keys, the last above the others.  The accepted centers support
+    disjoint closed balls of radius delta/2, so accepted * delta**s
+    estimates the packing pre-measure sum at gauge delta.
 
     With delta * 4**n = dnum/dden, that distance exceeds delta exactly
     when X + dQ*4**L*(u - u_J)*dden > 0 for the integer X = dV*dden -
@@ -365,23 +365,22 @@ class BoxCountProfile:
 def box_counting_profile(sys: IFSSystem, n_max: int) -> BoxCountProfile:
     """Occupied half-open grid cells [m * 4**(-n), (m+1) * 4**(-n)) per level.
 
-    A level-n point lies in cell floor(P + Q*u), read exactly off its
-    _level_keys key V as V >> 2*(L + n_max - n): grid-aligned values
-    (Q = 0, or rational u landing on an integer) sit in the cell they
-    start.  Row n reads the distinct keys of level n-1, so level n_max is
-    never built: a key's cell c on the level-n grid holds its digit-0
-    child, the digit 1 adds exactly one cell, and the digit u less than a
-    third of one (u < 1/3), so the occupied cells are those c and c + 1.
+    Row n reads the sorted distinct _level_keys keys v of level n-1, so
+    level n_max is never built: a point x there lies in the level-n cell
+    c = floor(4**n * x) = (v << 2) >> 2L (a grid-aligned x in the cell it
+    starts), which holds its digit-0 child; the digit 1 adds exactly one
+    cell, and the digit u less than a third of one (u < 1/3), so the
+    occupied cells are those c and c + 1.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     L, _, _, _, levels, _ = _level_keys(sys, n_max)
-    rows = tuple(BoxCountRow(n, _next_level_cells(keys, 2 * (L + n_max - n)))
+    rows = tuple(BoxCountRow(n, _next_level_cells(keys, 2 * L))
                  for n, keys in enumerate(levels, 1))
     return BoxCountProfile(sys.lam.descriptor(), rows)
 
 
 def _next_level_cells(keys, s: int) -> int:
-    """Number of cells c and c + 1 over the cells c = v >> s of the keys."""
-    cells = {v >> s for v in keys}
+    """Number of cells c and c + 1 over c = (v << 2) >> s for the keys v."""
+    cells = {v << 2 >> s for v in keys}
     return len(cells) + sum(1 for c in cells if c + 1 not in cells)

@@ -54,6 +54,7 @@ def _sgn(x) -> int:
 _DIGIT_CHUNK = 10 ** 500
 
 _INT_RATIO = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+_LONG_EXPONENT = re.compile(r".*[eE][-+]?[0_]*[1-9](_?[0-9]){5}")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -61,9 +62,12 @@ def parse_rational(text: str) -> Fraction:
 
     Plain [-]digits[/digits] text, the form rational_str writes, is read
     in 500-digit chunks, so it parses at any length; everything else goes
-    to Fraction(text) unchanged.  A zero denominator raises ValueError.
+    to Fraction(text) unchanged.  A zero denominator or a decimal exponent
+    of six or more digits (a number of that many digits) raises ValueError.
     """
     text = text.strip()
+    if _LONG_EXPONENT.match(text):
+        raise ValueError(f"exponent in {text!r} has more than five digits")
     m = _INT_RATIO.fullmatch(text)
     try:
         if m is None:

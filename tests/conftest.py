@@ -96,6 +96,12 @@ def influence_scan_oracle(w: str, j: int, lam) -> list[tuple[int, int]]:
     return out
 
 
+# The level-key oracle tests run on these.  explicit:1,600 puts a 1200-bit
+# step into every key past level 0.
+LEVEL_SEQUENCES = ["paper", "geometric:b=3,start=3", "geometric:b=3,start=4",
+                   "explicit:1", "explicit:2,6,14", "explicit:1,3,7", "explicit:1,600"]
+
+
 def full_level_keys(sys, n, keep_q=False):
     """(L, N, T, shift, levels) with every level 0..n built in full.
 

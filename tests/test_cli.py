@@ -1,5 +1,7 @@
 """End-to-end command-line tests: outputs, config resolution, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -23,7 +25,7 @@ from fracpack import (
     sample_sequence,
 )
 from fracpack.cli import _render_json, build_parser, main, parse_args
-from conftest import span_count_oracle
+from conftest import LEVEL_SEQUENCES, span_count_oracle
 
 
 def run(capsys, *argv):
@@ -453,6 +455,65 @@ class TestMeasurePackBoxcount:
         assert code == 0
         assert out.splitlines()[0] == ("k,j_lo,j_hi,count,N,p,M,flagged,"
                                        "hoeffding,contribution,log10_contribution")
+
+
+def choice(*strategies):
+    """A draw from one of the strategies, each equally likely (st.one_of
+    does not weight its branches equally)."""
+    return st.sampled_from(strategies).flatmap(lambda s: s)
+
+
+def mostly(good, bad):
+    """Three draws from good to one from bad."""
+    return choice(good, good, good, bad)
+
+
+# Text for a rational option: small ratios, ratios and decimal exponents
+# near and far past both ends of float range, exponents too long to
+# expand, and words Fraction refuses.
+powers_of_ten = choice(st.integers(-20, 20), st.integers(300, 400), st.integers(-400, -300),
+                       st.integers(-5000, 5000))
+rational_texts = mostly(
+    choice(
+        st.builds(lambda a, j: f"{a}/{4 ** j}", st.integers(-20, 20), st.integers(0, 12)),
+        st.builds(lambda a, e, b: f"{a}{'0' * max(e, 0)}/{b}{'0' * max(-e, 0)}",
+                  st.integers(-9, 9), powers_of_ten, st.integers(1, 9)),
+        st.builds("{}e{}".format, st.integers(-99, 99),
+                  mostly(powers_of_ten, st.integers(-10 ** 9, 10 ** 9)))),
+    st.sampled_from(["inf", "-inf", "nan", "NaN", "Infinity", "1/0", "", " ", "1e",
+                     "1/-3", "0x10", "one", "1e0_100000"]))
+depths = mostly(st.integers(-3, 9).map(str),
+                st.sampled_from(["", "x", "1.5", "1e3", "0x3", str(10 ** 30)]))
+descriptors = mostly(
+    st.sampled_from(LEVEL_SEQUENCES),
+    choice(st.sampled_from([
+        "explicit:2,3", "explicit:", "explicit:0", "explicit:-1", "explicit:3,2",
+        "explicit:1,2000000", "explicit:1," + "9" * 40, "geometric:b=2,start=1",
+        "geometric:b=3", "geometric:b=3,start=0", "paper:1", "nope", ""]),
+        st.text(max_size=12)))
+level_argvs = choice(
+    st.builds(lambda n, d: ["pack", "--n", n, "--delta", d], depths, rational_texts),
+    st.builds(lambda n: ["boxcount", "--n-max", n], depths),
+    st.builds(lambda lo, hi, n: ["measure", "--lo", lo, "--hi", hi, "--n", n],
+              rational_texts, rational_texts, depths))
+
+
+class TestLevelCommandsExitCleanly:
+    @given(argv=level_argvs, desc=descriptors, fmt=st.sampled_from(["json", "csv"]))
+    # Fraction would build 10**100000000, which takes over 20 s.
+    @example(argv=["pack", "--n", "2", "--delta", "1e100000000"], desc="paper", fmt="json")
+    @example(argv=["measure", "--lo", "nan", "--hi", "1", "--n", "2"], desc="paper",
+             fmt="json")
+    @settings(max_examples=1000, deadline=None)
+    def test_exit_code_without_traceback(self, argv, desc, fmt):
+        # Depths past the small enumeration cap exit 3 instead of running.
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"FRACPACK_ENUM_CAP": "6"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, f"--lambda={desc}", "--format", fmt])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == (out.getvalue() != "")
 
 
 class TestConfigResolution:

@@ -20,8 +20,9 @@ from fracpack import (
     similarity_dimension,
     validate_word,
 )
-from fracpack.ifs import _lex_rank, count_span
-from conftest import exact_value, full_level_keys, span_count_oracle, walker_only
+from fracpack.ifs import _level_keys, _lex_rank, count_span
+from conftest import (LEVEL_SEQUENCES, exact_value, full_level_keys, span_count_oracle,
+                      walker_only)
 
 ZERO = SymbolicPoint(F(0), F(0))
 
@@ -375,12 +376,10 @@ class TestDistinctPoints:
         sys = IFSSystem(make_lacunary("explicit:1"))
         assert distinct_level_points(sys, 3) == 21
 
-    @pytest.mark.parametrize("desc", ["paper", "geometric:b=3,start=3",
-                                      "geometric:b=3,start=4", "explicit:1",
-                                      "explicit:2,6,14", "explicit:1,3,7",
-                                      "explicit:1,600"])
+    @pytest.mark.parametrize("desc", LEVEL_SEQUENCES)
     def test_matches_full_last_level(self, desc):
-        # Level n is three runs of level n-1; the built level n is the oracle.
+        # Level n is level n-1 and its copies shifted by the first digits u
+        # and 1; the built level n is the oracle.
         sys = IFSSystem(make_lacunary(desc))
         for n in range(0, 9):
             *_, levels = full_level_keys(sys, n, keep_q=True)
@@ -395,3 +394,23 @@ class TestDistinctPoints:
         with pytest.raises(EnumerationCapError):
             distinct_level_points(tight, 4)
         assert distinct_level_points(tight, 3) == 27
+
+
+class TestLevelKeys:
+    @pytest.mark.parametrize("keep_q", [False, True])
+    @pytest.mark.parametrize("desc", LEVEL_SEQUENCES)
+    def test_levels_match_full_levels(self, desc, keep_q):
+        # Level k is built in its own scale by prepending digits, the oracle
+        # in level n's scale by appending them: they differ by 4**(n-k).
+        sys = IFSSystem(make_lacunary(desc))
+        for n in range(0, 9):
+            *_, shift, levels, steps = _level_keys(sys, n, keep_q)
+            *_, full = full_level_keys(sys, n, keep_q)
+            levels = list(levels)
+            assert len(levels) == max(n, 1)
+            for k, keys in enumerate(levels):
+                assert keys == sorted(keys)
+                if not shift:
+                    assert all(a < b for a, b in zip(keys, keys[1:]))
+                assert [v * 4 ** (n - k) for v in keys] == sorted(full[k])
+            assert {v + d for v in levels[-1] for d in steps} == set(full[n])

@@ -29,8 +29,8 @@ from fracpack import (
 )
 from fracpack import measure
 from fracpack.numeric import _u_enclosure_info, affine_sign_scaled
-from conftest import (exact_value, full_level_keys, rational_sign, span_count_oracle,
-                      walker_only)
+from conftest import (LEVEL_SEQUENCES, exact_value, full_level_keys, rational_sign,
+                      span_count_oracle, walker_only)
 
 ZERO = SymbolicPoint(F(0), F(0))
 
@@ -138,9 +138,6 @@ def full_level_cells(sys, n_max):
             for n, keys in enumerate(levels) if n]
 
 
-# explicit:1,600 puts a 1200-bit step into every key past level 0.
-LEVEL_SEQUENCES = ["paper", "geometric:b=3,start=3", "geometric:b=3,start=4",
-                   "explicit:1", "explicit:2,6,14", "explicit:1,3,7", "explicit:1,600"]
 # k/4**j ties a level gap exactly; a free denominator mostly does not.
 gauges = st.one_of(
     st.builds(lambda k, j: F(k, 4 ** j), st.integers(1, 16), st.integers(0, 11)),
@@ -148,8 +145,9 @@ gauges = st.one_of(
 
 
 class TestLevelRuns:
-    """pack and boxcount read level n as three runs of level n-1; the
-    fully built levels are the oracle."""
+    """pack and boxcount read level n as three runs of level n-1, the
+    copies that put the first digit 0, u or 1 in front; the fully built
+    levels are the oracle."""
 
     @given(desc=st.sampled_from(LEVEL_SEQUENCES), n=st.integers(0, 8), delta=gauges)
     @example(desc="paper", n=0, delta=F(1, 4))
@@ -486,7 +484,8 @@ class TestPacking:
         # At delta = 4**-9 the tail bound rejects the rest of every V = P
         # block at once: one ceiling lookup per accepted key and one per
         # block, plus the first, each at most one bisect in each of the
-        # three runs that make up level 8.  A key-by-key scan makes one
+        # three runs that make up level 8 (level 7 and its copies shifted
+        # by the first digits u and 1).  A key-by-key scan makes one
         # lookup per key, 6561 or more, and its one-key moves bisect no
         # run, so the lookups themselves are counted.
         lookups = 0
