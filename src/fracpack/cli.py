@@ -120,12 +120,6 @@ def _emit(args, cfg: RunConfig, payload: dict, csv_rows) -> None:
     os.replace(partial, out)
 
 
-def _system(args, cfg: RunConfig) -> IFSSystem:
-    desc = cfg.lam if args.lam is None else args.lam
-    lam = make_lacunary(desc, materialize_cap=cfg.materialize_cap)
-    return IFSSystem(lam, enumeration_cap=cfg.enum_cap)
-
-
 def _check_trials(trials: int, cfg: RunConfig) -> int:
     if trials > cfg.trials_cap:
         raise CapError(f"trials = {trials} exceeds trials_cap = {cfg.trials_cap}")
@@ -142,80 +136,61 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise ValueError(f"{what} must contain integers, got {text!r}") from exc
 
 
-def cmd_dimension(args, cfg: RunConfig) -> int:
+# Each cmd_* takes (args, cfg, system), system None for a command without
+# --lambda, and returns (payload, csv_rows); main stamps and writes them.
+
+
+def cmd_dimension(args, cfg: RunConfig, system):
     parts = [p.strip() for p in args.ratios.split(",") if p.strip()]
     s = _round15(similarity_dimension(parts))
     # The bare float, unless a flag or the config asks for csv or a file.
     if (args.format is None and args.out is None
             and cfg.format == "json" and not cfg.out_dir):
         sys.stdout.write(f"{s!r}\n")
-        return 0
+        return None
     ratios = [rational_str(parse_rational(p)) for p in parts]
-    payload = {"schema": 1, "ratios": ratios, "dimension": s}
-    _emit(args, cfg, payload, lambda: [["dimension"], [s]])
-    return 0
+    return {"ratios": ratios, "dimension": s}, lambda: [["dimension"], [s]]
 
 
-def cmd_count(args, cfg: RunConfig) -> int:
-    system = _system(args, cfg)
+def cmd_count(args, cfg: RunConfig, system: IFSSystem):
     center = project(args.center)
     C = parse_rational(args.C)
     result = count_in_ball(system, args.n, center, C * Fraction(1, 4) ** args.n,
                            witnesses=args.witnesses)
-    payload = {
-        "schema": 1,
-        "lambda": system.lam.descriptor(),
-        "n": args.n,
-        "center": args.center,
-        "C": rational_str(C),
-        "count": result.count,
-    }
+    payload = {"n": args.n, "center": args.center, "C": rational_str(C),
+               "count": result.count}
     rows = [["count"], [result.count]]
     if result.witnesses is not None:
         payload["witnesses"] = list(result.witnesses)
         rows = [["witness"]] + [[w] for w in result.witnesses]
-    _emit(args, cfg, payload, lambda: rows)
-    return 0
+    return payload, lambda: rows
 
 
-def cmd_influence(args, cfg: RunConfig) -> int:
-    lam = _system(args, cfg).lam
+def cmd_influence(args, cfg: RunConfig, system: IFSSystem):
     j = args.j if args.j is not None else len(args.word)
-    summary = influence_count(args.word, j, lam)
-    payload = {
-        "schema": 1,
-        "lambda": lam.descriptor(),
-        "word": args.word,
-        "j": j,
-        "S": summary.count,
-        "records": [r.to_dict() for r in summary.records],
-    }
-    rows = [["i", "k"]] + [[r.i, r.k] for r in summary.records]
-    _emit(args, cfg, payload, lambda: rows)
-    return 0
+    summary = influence_count(args.word, j, system.lam)
+    payload = {"word": args.word, "j": j, "S": summary.count,
+               "records": [r.to_dict() for r in summary.records]}
+    return payload, lambda: [["i", "k"]] + [[r.i, r.k] for r in summary.records]
 
 
-def cmd_simulate(args, cfg: RunConfig) -> int:
-    lam = _system(args, cfg).lam
+def cmd_simulate(args, cfg: RunConfig, system: IFSSystem):
     checkpoints = _parse_ints(args.checkpoints, "checkpoints")
     trials = _check_trials(args.trials, cfg)
     seed = cfg.seed if args.seed is None else args.seed
-    report = monte_carlo_growth(lam, checkpoints, trials, seed)
-    _emit(args, cfg, report.to_dict(), report.csv_rows)
-    return 0
+    report = monte_carlo_growth(system.lam, checkpoints, trials, seed)
+    return report.to_dict(), report.csv_rows
 
 
-def cmd_density(args, cfg: RunConfig) -> int:
-    system = _system(args, cfg)
+def cmd_density(args, cfg: RunConfig, system: IFSSystem):
     word = args.word
     if word is None:
         word = "0" * recommended_word_length(system.lam, args.n_max)
     report = density_profile(system, word, args.n_max, parse_rational(args.C))
-    _emit(args, cfg, report.to_dict(), report.csv_rows)
-    return 0
+    return report.to_dict(), report.csv_rows
 
 
-def cmd_blowup(args, cfg: RunConfig) -> int:
+def cmd_blowup(args, cfg: RunConfig, system: IFSSystem):
     """Density ratios at level j around seeded words with S >= min_successes.
 
     Each kept word's floor (S + 1)/(2*(C + 1))**s holds for C >= 5/3: its
@@ -235,7 +210,6 @@ def cmd_blowup(args, cfg: RunConfig) -> int:
     if args.samples < 0:
         raise ValueError("samples must be >= 0")
     _check_trials(args.samples, cfg)
-    system = _system(args, cfg)
     lam = system.lam
     length = recommended_word_length(lam, args.j)
     if length > lam.materialize_cap:
@@ -253,8 +227,6 @@ def cmd_blowup(args, cfg: RunConfig) -> int:
                         "ratio_bound": entry.ratio_bound,
                         "floor": DensityEntry(args.j, C, S + 1).ratio_bound})
     payload = {
-        "schema": 1,
-        "lambda": lam.descriptor(),
         "j": args.j,
         "C": rational_str(C),
         "word_length": length,
@@ -265,53 +237,41 @@ def cmd_blowup(args, cfg: RunConfig) -> int:
         "min_ratio": min((e["ratio_bound"] for e in entries), default=None),
     }
     keys = ["trial", "S", "count", "ratio_bound", "floor"]
-    _emit(args, cfg, payload, lambda: [keys] + [[e[k] for k in keys] for e in entries])
-    return 0
+    return payload, lambda: [keys] + [[e[k] for k in keys] for e in entries]
 
 
-def cmd_measure(args, cfg: RunConfig) -> int:
-    system = _system(args, cfg)
+def cmd_measure(args, cfg: RunConfig, system: IFSSystem):
     lo = SymbolicPoint(parse_rational(args.lo), Fraction(0))
     hi = SymbolicPoint(parse_rational(args.hi), Fraction(0))
     report = measure_bounds(system, lo, hi, args.n)
-    payload = dict(report.to_dict())
-    payload.update({"schema": 1, "lambda": system.lam.descriptor(),
-                    "lo": rational_str(lo.p), "hi": rational_str(hi.p)})
+    payload = report.to_dict()
+    payload.update({"lo": rational_str(lo.p), "hi": rational_str(hi.p)})
     rows = [["n", "contained", "intersecting", "lower", "upper"],
             [report.n, report.contained, report.intersecting,
              float(report.lower), float(report.upper)]]
-    _emit(args, cfg, payload, lambda: rows)
-    return 0
+    return payload, lambda: rows
 
 
-def cmd_pack(args, cfg: RunConfig) -> int:
-    system = _system(args, cfg)
+def cmd_pack(args, cfg: RunConfig, system: IFSSystem):
     report = packing_premeasure_estimate(system, args.n, parse_rational(args.delta))
-    payload = dict(report.to_dict())
-    payload["lambda"] = system.lam.descriptor()
-    _emit(args, cfg, payload, lambda: [
+    return report.to_dict(), lambda: [
         ["n", "delta", "accepted", "value"],
-        [report.n, _float(report.delta, "delta"), report.accepted, report.value]])
-    return 0
+        [report.n, _float(report.delta, "delta"), report.accepted, report.value]]
 
 
-def cmd_boxcount(args, cfg: RunConfig) -> int:
-    system = _system(args, cfg)
+def cmd_boxcount(args, cfg: RunConfig, system: IFSSystem):
     report = box_counting_profile(system, args.n_max)
-    _emit(args, cfg, report.to_dict(), report.csv_rows)
-    return 0
+    return report.to_dict(), report.csv_rows
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    lam = _system(args, cfg).lam
-    table = borel_cantelli_table(lam, args.M, args.k_max)
+def cmd_verify(args, cfg: RunConfig, system: IFSSystem):
+    table = borel_cantelli_table(system.lam, args.M, args.k_max)
     rows = [["k", "j_lo", "j_hi", "count", "N", "p", "M", "flagged",
              "hoeffding", "contribution", "log10_contribution"]]
     for row in table.rows:
         d = row.to_dict()
         rows.append([d[key] for key in rows[0]])
-    _emit(args, cfg, table.to_dict(), lambda: rows)
-    return 0
+    return table.to_dict(), lambda: rows
 
 
 def _add_common(sub: argparse.ArgumentParser, with_lambda: bool = True) -> None:
@@ -453,10 +413,28 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand: resolve the config, build the system the
+    command's --lambda names, and write the payload the command returns
+    with "schema": 1 and, for a command with --lambda, the canonical
+    "lambda" descriptor.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parse_args(argv)
-        return args.func(args, resolve_config(args.config))
+        cfg = resolve_config(args.config)
+        system = None
+        if "lam" in args:
+            lam = make_lacunary(cfg.lam if args.lam is None else args.lam,
+                                materialize_cap=cfg.materialize_cap)
+            system = IFSSystem(lam, enumeration_cap=cfg.enum_cap)
+        result = args.func(args, cfg, system)
+        if result is not None:
+            payload, csv_rows = result
+            payload["schema"] = 1
+            if system is not None:
+                payload["lambda"] = system.lam.descriptor()
+            _emit(args, cfg, payload, csv_rows)
+        return 0
     except SystemExit as exc:
         code = exc.code
         return 0 if code is None else int(code)

@@ -162,15 +162,12 @@ def density_ratio(sys: IFSSystem, x: SymbolicPoint, n: int,
 
 @dataclass(frozen=True)
 class DensityProfile:
-    lam_descriptor: str
     word: str
     C: Fraction
     entries: tuple[DensityEntry, ...]
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
-            "lambda": self.lam_descriptor,
             "word": self.word,
             "C": rational_str(self.C),
             "entries": [e.to_dict() for e in self.entries],
@@ -219,7 +216,7 @@ def density_profile(sys: IFSSystem, word: str, n_max: int,
             f"need at least {n_max + 1}")
     x = project(w)
     entries = tuple(density_ratio(sys, x, n, C) for n in range(1, n_max + 1))
-    return DensityProfile(sys.lam.descriptor(), w, Fraction(C), entries)
+    return DensityProfile(w, Fraction(C), entries)
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,6 @@ class PackingEstimate:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
             "n": self.n,
             "delta": rational_str(self.delta),
             "accepted": self.accepted,
@@ -345,15 +341,10 @@ class BoxCountRow:
 
 @dataclass(frozen=True)
 class BoxCountProfile:
-    lam_descriptor: str
     rows: tuple[BoxCountRow, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "lambda": self.lam_descriptor,
-            "rows": [r.to_dict() for r in self.rows],
-        }
+        return {"rows": [r.to_dict() for r in self.rows]}
 
     def csv_rows(self) -> list[list]:
         rows = [["n", "cells", "dim_estimate"]]
@@ -377,7 +368,7 @@ def box_counting_profile(sys: IFSSystem, n_max: int) -> BoxCountProfile:
     L, _, _, _, levels, _ = _level_keys(sys, n_max)
     rows = tuple(BoxCountRow(n, _next_level_cells(keys, 2 * L))
                  for n, keys in enumerate(levels, 1))
-    return BoxCountProfile(sys.lam.descriptor(), rows)
+    return BoxCountProfile(rows)
 
 
 def _next_level_cells(keys, s: int) -> int:

@@ -141,12 +141,12 @@ def tail_report(N: int, p: Fraction, M: int) -> TailReport:
     )
 
 
-def _safe_exp(logv: float) -> float:
-    if logv > 700.0:
+def _or_inf(f, x) -> float:
+    """f(x) for a float-valued f, or inf where that float overflows."""
+    try:
+        return f(x)
+    except OverflowError:
         return math.inf
-    if logv < -745.0:
-        return 0.0
-    return math.exp(logv)
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,6 @@ class ScaleRow:
 
 @dataclass(frozen=True)
 class ScaleTable:
-    lam_descriptor: str
     M: int
     rows: tuple[ScaleRow, ...]
 
@@ -204,8 +203,6 @@ class ScaleTable:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
-            "lambda": self.lam_descriptor,
             "M": self.M,
             "rows": [r.to_dict() for r in self.rows],
             "cumulative": self.cumulative,
@@ -242,18 +239,18 @@ def borel_cantelli_table(lam: LacunarySequence, M: int, k_max: int) -> ScaleTabl
         flagged = gap <= 0
         if flagged:
             h = 1.0
-            contribution = math.inf if count.bit_length() > 1000 else float(count)
+            contribution = _or_inf(float, count)
             log10c = None
         else:
             log_h = _hoeffding_exponent(gap, N, f"scale k = {k}")
-            h = _safe_exp(log_h)
+            h = math.exp(log_h)
             logc = math.log(count) + log_h
-            contribution = _safe_exp(logc)
+            contribution = _or_inf(math.exp, logc)
             log10c = logc / math.log(10.0)
         rows.append(ScaleRow(k=k, j_lo=j_lo, j_hi=j_hi, count=count, N=N, p=p,
                              M=M, flagged=flagged, hoeffding=h,
                              contribution=contribution, log10_contribution=log10c))
-    return ScaleTable(lam.descriptor(), M, tuple(rows))
+    return ScaleTable(M, tuple(rows))
 
 
 def empirical_quantile(sorted_xs: list, frac: float):
@@ -284,7 +281,6 @@ class CheckpointStats:
 
 @dataclass(frozen=True)
 class GrowthReport:
-    lam_descriptor: str
     seed: int
     trials: int
     checkpoints: tuple[int, ...]
@@ -292,8 +288,6 @@ class GrowthReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
-            "lambda": self.lam_descriptor,
             "seed": self.seed,
             "trials": self.trials,
             "checkpoints": list(self.checkpoints),
@@ -325,7 +319,7 @@ def monte_carlo_growth(lam: LacunarySequence, checkpoints, trials: int,
     if trials < 0:
         raise ValueError("trials must be >= 0")
     if trials == 0:
-        return GrowthReport(lam.descriptor(), seed, 0, cps, ())
+        return GrowthReport(seed, 0, cps, ())
     top = max(cps)
     if top > lam.materialize_cap:
         raise CapError(f"word length {top} exceeds materialize_cap = {lam.materialize_cap}")
@@ -349,7 +343,7 @@ def monte_carlo_growth(lam: LacunarySequence, checkpoints, trials: int,
             max=xs[-1],
             mean=sum(xs) / len(xs),
         ))
-    return GrowthReport(lam.descriptor(), seed, trials, cps, tuple(stats))
+    return GrowthReport(seed, trials, cps, tuple(stats))
 
 
 @dataclass(frozen=True)
@@ -411,8 +405,5 @@ def empirical_X_law(lam: LacunarySequence, j: int, trials: int,
     for m in range(dec.N + 1):
         emp = Fraction(hist.get(m, 0), trials)
         tv += abs(emp - pmf[m])
-    for m, c in hist.items():
-        if m > dec.N:
-            tv += Fraction(c, trials)
     return XLawReport(lam.descriptor(), j, dec.k, dec.N, p, trials, seed,
                       hist, float(tv / 2))

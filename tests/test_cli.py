@@ -211,6 +211,12 @@ class TestSimulate:
         assert out1 == out2
         assert payload["seed"] == 0x5EED and payload["trials"] == 100
 
+    def test_non_integer_checkpoint_exit_2(self, capsys):
+        code, out, err = run(capsys, "simulate", "--lambda", "explicit:2,6,14",
+                             "--checkpoints", "3,x", "--trials", "10")
+        assert (code, out) == (2, "")
+        assert err == "error: checkpoints must contain integers, got '3,x'\n"
+
     def test_empty_checkpoints_exit_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--lambda", "explicit:2,6,14",
                            "--checkpoints", ",", "--trials", "10")
@@ -449,6 +455,15 @@ class TestMeasurePackBoxcount:
         assert code == 3 and out == ""
         assert err == "error: scale k = 5: N has 771 bits, beyond float range\n"
 
+    def test_verify_flagged_rows_stay_finite(self, capsys):
+        # Rows k = 630..640 count 2**1001 to 2**1017 words, inside float range.
+        code, out, _ = run(capsys, "verify", "--lambda", "geometric:b=3,start=2",
+                           "--M", "1", "--k-max", "640")
+        payload = json.loads(out)
+        assert code == 0 and "Infinity" not in out
+        assert all(r["contribution"] == float(r["count"]) for r in payload["rows"][630:])
+        assert payload["cumulative"][-1] == pytest.approx(1.3669551670974012e306, rel=1e-12)
+
     def test_verify_csv_header(self, capsys):
         code, out, _ = run(capsys, "verify", "--lambda", "explicit:2,6,14",
                            "--M", "0", "--k-max", "1", "--format", "csv")
@@ -498,6 +513,18 @@ level_argvs = choice(
               rational_texts, rational_texts, depths))
 
 
+def assert_exits_cleanly(argv, env):
+    """main(argv) under env exits 0, 2 or 3 with no traceback, and writes
+    stdout exactly when it exits 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (out.getvalue() != "")
+
+
 class TestLevelCommandsExitCleanly:
     @given(argv=level_argvs, desc=descriptors, fmt=st.sampled_from(["json", "csv"]))
     # Fraction would build 10**100000000, which takes over 20 s.
@@ -507,13 +534,69 @@ class TestLevelCommandsExitCleanly:
     @settings(max_examples=1000, deadline=None)
     def test_exit_code_without_traceback(self, argv, desc, fmt):
         # Depths past the small enumeration cap exit 3 instead of running.
-        out, err = io.StringIO(), io.StringIO()
-        with mock.patch.dict(os.environ, {"FRACPACK_ENUM_CAP": "6"}), \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, f"--lambda={desc}", "--format", fmt])
-        assert code in (0, 2, 3)
-        assert "Traceback" not in err.getvalue()
-        assert (code == 0) == (out.getvalue() != "")
+        assert_exits_cleanly([*argv, f"--lambda={desc}", "--format", fmt],
+                             {"FRACPACK_ENUM_CAP": "6"})
+
+
+# Depths stay below 10: count, density and blowup have no work cap past
+# lam_1, so a deep request runs instead of exiting 3.
+bad_ints = st.sampled_from(["", "x", "1.5", "1e3", "0x3", "2**4"])
+small_ints = mostly(st.integers(-3, 9).map(str), bad_ints)
+sizes = mostly(st.integers(-3, 40).map(str), bad_ints)
+seeds = mostly(st.integers(-9, 2 ** 70).map(str), bad_ints)
+words = mostly(st.text("01u", max_size=14), st.text(max_size=6))
+checkpoint_lists = mostly(
+    st.lists(choice(st.integers(-3, 60), st.integers(650, 750)), min_size=1,
+             max_size=4).map(lambda js: ",".join(map(str, js))),
+    st.sampled_from(["", ",", "3,x", "1.5", " 2 , 7 ", "1e3", "7,,9"]))
+
+
+# Half of the draws are radii that density (C >= 1) or blowup (C >= 5/3) accepts.
+radius_coefficients = choice(rational_texts, st.sampled_from(["1", "5/3", "3", "1e9"]))
+
+
+def optional(flag, values):
+    """No flag, or the flag and one of values."""
+    return choice(st.just([]), values.map(lambda v: [flag, v]))
+
+
+other_argvs = choice(
+    st.builds(lambda n, w, C, wit: ["count", "--n", n, "--center", w, "--C", C, *wit],
+              small_ints, words, radius_coefficients, st.sampled_from([[], ["--witnesses"]])),
+    st.builds(lambda n, C, w: ["density", "--n-max", n, "--C", C, *w],
+              small_ints, radius_coefficients, optional("--word", words)),
+    st.builds(lambda j, C, m, k, seed: ["blowup", "--j", j, "--C", C, "--min-successes", m,
+                                        "--samples", k, *seed],
+              small_ints, radius_coefficients, small_ints, sizes, optional("--seed", seeds)),
+    st.builds(lambda cps, k, seed: ["simulate", "--checkpoints", cps, "--trials", k, *seed],
+              checkpoint_lists, sizes, optional("--seed", seeds)),
+    st.builds(lambda M, k: ["verify", "--M", M, "--k-max", k], small_ints, small_ints),
+    st.builds(lambda w, j: ["influence", "--word", w, *j], words, optional("--j", small_ints)),
+    st.builds(lambda rs: ["dimension", "--ratios", ",".join(rs)],
+              st.lists(choice(rational_texts, st.builds("{}/{}".format, st.integers(1, 9),
+                                                        st.integers(10, 99))),
+                       min_size=1, max_size=3)))
+
+
+class TestOtherCommandsExitCleanly:
+    """The seven commands that TestLevelCommandsExitCleanly leaves out."""
+
+    @given(argv=other_argvs, desc=descriptors,
+           fmt=st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]))
+    # Bad in two ways at once: the descriptor is reported first.
+    @example(argv=["blowup", "--j", "0", "--C", "1", "--min-successes", "2",
+                   "--samples", "-1"], desc="bogus", fmt=[])
+    @example(argv=["simulate", "--checkpoints", "3,x", "--trials", "99"], desc="explicit:",
+             fmt=["--format", "csv"])
+    @example(argv=["verify", "--M", "0", "--k-max", "5"], desc="paper", fmt=[])
+    @example(argv=["count", "--n", "9", "--center", "0", "--C", "1e300", "--witnesses"],
+             desc="explicit:2,6,14", fmt=[])
+    @settings(max_examples=1000, deadline=None)
+    def test_exit_code_without_traceback(self, argv, desc, fmt):
+        lam = [] if argv[0] == "dimension" else [f"--lambda={desc}"]
+        assert_exits_cleanly([*argv, *lam, *fmt],
+                             {"FRACPACK_ENUM_CAP": "6", "FRACPACK_TRIALS_CAP": "25",
+                              "FRACPACK_MATERIALIZE_CAP": "700"})
 
 
 class TestConfigResolution:
@@ -559,6 +642,29 @@ class TestConfigResolution:
         code, _, err = run(capsys, "count", "--config", str(cfg), "--lambda",
                            "explicit:2,6", "--n", "1", "--center", "0")
         assert code == 2 and "unknown config key" in err
+
+    def test_bad_seed_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("FRACPACK_SEED", "abc")
+        code, out, err = run(capsys, "count", "--lambda", "explicit:2,6", "--n", "1",
+                             "--center", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: config key seed needs an integer, got 'abc'\n"
+
+    def test_bad_format_config_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        code, out, err = run(capsys, "count", "--config", str(cfg), "--lambda",
+                             "explicit:2,6", "--n", "1", "--center", "0")
+        assert (code, out, err) == (2, "", "error: format must be json or csv, got 'xml'\n")
+
+    def test_config_line_without_equals_exit_2(self, capsys, tmp_path):
+        # Line 2 is blank and skipped; line 3 names no key=value.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\n\nformat csv\n")
+        code, out, err = run(capsys, "count", "--config", str(cfg), "--lambda",
+                             "explicit:2,6", "--n", "1", "--center", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:3: expected key=value, got 'format csv'\n"
 
     def test_missing_config_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "count", "--config", str(tmp_path / "nope.cfg"),
@@ -705,8 +811,17 @@ class TestOutputContracts:
         assert code == 0
         payload = json.loads(out)
         assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out
-        if argv[0] != "dimension":
-            assert payload["schema"] == 1
+        assert payload["schema"] == 1
+        if "--lambda" in argv:
+            desc = argv[argv.index("--lambda") + 1]
+            assert payload["lambda"] == make_lacunary(desc).descriptor()
+        else:
+            assert "lambda" not in payload
+
+    def test_lambda_echo_is_canonical(self, capsys):
+        code, out, _ = run(capsys, "count", "--lambda", "explicit:2, 6", "--n", "2",
+                           "--center", "11")
+        assert code == 0 and json.loads(out)["lambda"] == "explicit:2,6"
 
     @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: a[0])
     def test_csv_variant_renders(self, argv, capsys):

@@ -366,7 +366,7 @@ class TestDensity:
         assert rows[0] == ["n", "radius", "M", "ratio_bound"]
         assert len(rows) == 3
         d = prof.to_dict()
-        assert d["schema"] == 1 and d["C"] == "3"
+        assert d["C"] == "3"
         assert set(d["entries"][0]) == {"n", "radius", "count", "ratio_bound"}
 
     def test_recommended_word_length(self, lam_toy, lam_paper):

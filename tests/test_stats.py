@@ -191,8 +191,21 @@ class TestScaleTable:
 
     def test_serialization_shape(self, lam_toy):
         d = borel_cantelli_table(lam_toy, 0, 1).to_dict()
-        assert d["schema"] == 1 and d["lambda"] == "explicit:2,6,14"
         assert len(d["rows"]) == 2 and d["rows"][0]["p"] == "1/3"
+
+    @pytest.mark.parametrize("M, k_max", [(1, 650), (0, 646)])
+    def test_contribution_is_a_float_where_one_exists(self, M, k_max):
+        # M = 1 flags every row from k = 628 on, M = 0 none; the counts
+        # reach 2**1024 at k = 645, where the float first overflows.
+        rows = borel_cantelli_table(make_lacunary("geometric:b=3,start=2"), M, k_max).rows
+        assert all(r.flagged == (M == 1) for r in rows[628:])
+        for r in rows[628:]:
+            if r.count.bit_length() <= 1024:
+                # A flagged row's hoeffding is 1.0.
+                assert r.contribution == pytest.approx(r.count * r.hoeffding, rel=1e-12)
+            else:
+                assert r.contribution == math.inf
+        assert [r.k for r in rows if r.contribution == math.inf] == list(range(645, k_max + 1))
 
 
 class TestQuantile:
