@@ -126,6 +126,14 @@ def _check_trials(trials: int, cfg: RunConfig) -> int:
     return trials
 
 
+def _capped(what: str, value: int, lam) -> int:
+    """value, or CapError past lam.materialize_cap: a depth or word length
+    checked before any word or power of 4 is built."""
+    if value > lam.materialize_cap:
+        raise CapError(f"{what} {value} exceeds materialize_cap = {lam.materialize_cap}")
+    return value
+
+
 def _parse_ints(text: str, what: str) -> list[int]:
     items = [p.strip() for p in text.split(",") if p.strip()]
     if not items:
@@ -153,6 +161,9 @@ def cmd_dimension(args, cfg: RunConfig, system):
 
 
 def cmd_count(args, cfg: RunConfig, system: IFSSystem):
+    if args.n < 0:  # before 4**-n, which a huge negative n would build
+        raise ValueError("depth must be >= 0")
+    _capped("depth", args.n, system.lam)
     center = project(args.center)
     C = parse_rational(args.C)
     result = count_in_ball(system, args.n, center, C * Fraction(1, 4) ** args.n,
@@ -183,9 +194,11 @@ def cmd_simulate(args, cfg: RunConfig, system: IFSSystem):
 
 
 def cmd_density(args, cfg: RunConfig, system: IFSSystem):
+    lam = system.lam
+    _capped("depth", args.n_max, lam)
     word = args.word
     if word is None:
-        word = "0" * recommended_word_length(system.lam, args.n_max)
+        word = "0" * _capped("word length", recommended_word_length(lam, args.n_max), lam)
     report = density_profile(system, word, args.n_max, parse_rational(args.C))
     return report.to_dict(), report.csv_rows
 
@@ -211,9 +224,7 @@ def cmd_blowup(args, cfg: RunConfig, system: IFSSystem):
         raise ValueError("samples must be >= 0")
     _check_trials(args.samples, cfg)
     lam = system.lam
-    length = recommended_word_length(lam, args.j)
-    if length > lam.materialize_cap:
-        raise CapError(f"word length {length} exceeds materialize_cap = {lam.materialize_cap}")
+    length = _capped("word length", recommended_word_length(lam, args.j), lam)
     seed = cfg.seed if args.seed is None else args.seed
     entries = []
     for t in range(args.samples):

@@ -129,11 +129,24 @@ def _prefix_walk(n: int, lo: tuple[int, int], hi: tuple[int, int], den: int,
     (m, K, Q, False); other nodes split into their 0, 1 and u children.
     Nodes come out in depth-first 0, 1, u order, from an explicit stack,
     so the depth is not limited by the interpreter's recursion limit.
-    Children take the miss test when their parent splits; the inside test
-    runs when a node is visited.  Of the children that pass, the first in
-    0, 1, u order is visited at once, and only the others are stacked,
-    each as its own (m, K, Q).  So a walk down one narrow path of the
-    tree holds a node per depth only where a sibling survives.
+    Children take the miss tests when their parent splits; the inside
+    test runs when a node is visited.  The u and 1 children that pass are
+    stacked, each as its own (m, K, Q), and a 0 child that passes is
+    visited at once.  So a walk down one narrow path of the tree holds a
+    node per depth only where a sibling survives.
+
+    Every node the walk visits passes both miss tests, by test or by the
+    rules below: its span starts at or below hi and ends at or above lo.
+    Its 0 child starts where it starts, so that child can miss only
+    below lo and takes that test alone.  Its 1 child ends where it ends
+    (the 1 step plus the child's hull is the parent's hull), so that
+    child can miss only above hi and takes that test alone.  The u child,
+    like the root, takes both.  When the ends have equal q-parts, as
+    every ball and every measure interval does, a span inside the
+    interval is no wider than it; a node whose hull is wider (the
+    integer test top > HT - LK) is not inside, and under irrational u
+    skips the two inside sign tests.  Each rule is exact for either kind
+    of u.
 
     A child adds its digit's step to K, 3*4**L*den for a 1 and 3*N*den
     for a u (0 when u is irrational), shifted to its weight once per
@@ -154,32 +167,20 @@ def _prefix_walk(n: int, lo: tuple[int, int], hi: tuple[int, int], den: int,
     LT, HT = LK - c, HK - c  # the hull top is compared with these
     LQ, HQ = 3 * lo[1], 3 * hi[1]
     stack = []
-    # The root enters as the one child of no parent.  Children come in
-    # u, 1, 0 order: the last that survives (the 0 child when it does) is
-    # visited at once, and the others wait on the stack.
-    m, s, kids = 0, 2 * n, ((0, 0),)
+    m, s, K, Q = 0, 2 * n, 0, 0
     top = one << s
+    # No hull wider than the interval lies inside it when the q-parts are
+    # equal; otherwise no hull is too wide, as none passes the root's.
+    widest = HT - LK if LQ == HQ else top
+    # A miss is a span minimum above hi, or a maximum below lo.  The root
+    # takes both tests, as a u child does.
+    if keyed:
+        if HK < 0 or top < LT:
+            return
+    elif (affine_sign_scaled(-HK, -HQ, lam) > 0
+          or affine_sign_scaled(top - LT, -LQ, lam) < 0):
+        return
     while True:
-        found = False
-        for k, q in kids:
-            # Span minimum above hi, or maximum below lo: prune.
-            if keyed:
-                if k > HK or k + top < LT:
-                    continue
-            else:
-                b = q * den3
-                if (affine_sign_scaled(k - HK, b - HQ, lam) > 0
-                        or affine_sign_scaled(k + top - LT, b - LQ, lam) < 0):
-                    continue
-            if found:
-                stack.append((m, K, Q))
-            K, Q, found = k, q, True
-        if not found:
-            if not stack:
-                return
-            m, K, Q = stack.pop()
-            s = 2 * (n - m)
-            top = one << s
         T = K + top
         if keyed:
             whole = K >= LK and T <= HT
@@ -187,14 +188,37 @@ def _prefix_walk(n: int, lo: tuple[int, int], hi: tuple[int, int], den: int,
             b = Q * den3
             # A point span that is not missed is inside; skip the two tests.
             whole = (not (s or width)
-                     or (affine_sign_scaled(K - LK, b - LQ, lam) >= 0
+                     or (top <= widest
+                         and affine_sign_scaled(K - LK, b - LQ, lam) >= 0
                          and affine_sign_scaled(T - HT, b - HQ, lam) <= 0))
         if whole or m == n:
             yield m, K, Q, whole
-            kids = ()
         else:
+            # The u and 1 children that pass wait on the stack, the 1 child
+            # on top; a 0 child that passes is visited at once.
             m, s, top = m + 1, s - 2, top >> 2
-            kids = ((K + (step_u << s), Q + (1 << s)), (K + (step_1 << s), Q), (K, Q))
+            ku, qu, k1 = K + (step_u << s), Q + (1 << s), K + (step_1 << s)
+            if keyed:
+                if ku <= HK and ku + top >= LT:
+                    stack.append((m, ku, qu))
+                if k1 <= HK:
+                    stack.append((m, k1, Q))
+                if K + top >= LT:
+                    continue
+            else:
+                bu = qu * den3  # b is Q * den3, from the inside test
+                if (affine_sign_scaled(ku - HK, bu - HQ, lam) <= 0
+                        and affine_sign_scaled(ku + top - LT, bu - LQ, lam) >= 0):
+                    stack.append((m, ku, qu))
+                if affine_sign_scaled(k1 - HK, b - HQ, lam) <= 0:
+                    stack.append((m, k1, Q))
+                if affine_sign_scaled(K + top - LT, b - LQ, lam) >= 0:
+                    continue
+        if not stack:
+            return
+        m, K, Q = stack.pop()
+        s = 2 * (n - m)
+        top = one << s
 
 
 def _lex_rank(n: int, den: int, X: int, Y: int, strict: bool) -> int:

@@ -1,7 +1,9 @@
 import contextlib
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,6 +12,10 @@ from fracpack import IFSSystem, LacunarySequence, make_lacunary, project
 from fracpack.numeric import affine_sign_scaled
 
 MASTER_SEED = 0x5EED
+
+# perfbench/oracle.py, the benchmark's brute force, imports nothing from
+# fracpack; tests import it in place as "oracle".
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 
 @pytest.fixture(scope="session")

@@ -98,6 +98,19 @@ class TestCount:
                            "--center", "000000", "--C", "0.5")
         assert code == 0 and json.loads(out)["count"] == 2
 
+    def test_depth_past_materialize_cap_exit_3(self, capsys, monkeypatch):
+        # Refused before the radius C*4**-n is built.
+        code, out, err = run(capsys, "count", "--lambda", "paper", "--n", str(10 ** 30),
+                             "--center", "0")
+        assert code == 3 and out == "" and "materialize_cap" in err
+        monkeypatch.setenv("FRACPACK_MATERIALIZE_CAP", "14")
+        argv = ("count", "--lambda", "explicit:2,6,14", "--center", "1", "--n")
+        code, out, err = run(capsys, *argv, "15")
+        assert code == 3 and out == "" and err == (
+            "error: depth 15 exceeds materialize_cap = 14\n")
+        code, out, _ = run(capsys, *argv, "14")
+        assert code == 0 and json.loads(out)["n"] == 14
+
     def test_exact_hit(self, capsys):
         code, out, _ = run(capsys, "count", "--lambda", "explicit:2,6", "--n", "2",
                            "--center", "11", "--C", "0")
@@ -262,6 +275,21 @@ class TestDensity:
         assert set(payload["word"]) == {"0"} and len(payload["word"]) == 11
         # Self-witness floor: the center's own prefix is always inside.
         assert all(e["count"] >= 1 for e in payload["entries"])
+
+    def test_depth_and_default_word_past_materialize_cap_exit_3(self, capsys, monkeypatch):
+        # Refused before the default word of 10**30 symbols is built.
+        code, out, err = run(capsys, "density", "--lambda", "explicit:2,6",
+                             "--n-max", str(10 ** 30))
+        assert code == 3 and out == "" and "materialize_cap" in err
+        # At n_max = 3 the default word has 3 + 2*(6 - 2) = 11 symbols.
+        argv = ("density", "--lambda", "explicit:2,6", "--n-max", "3")
+        monkeypatch.setenv("FRACPACK_MATERIALIZE_CAP", "10")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err == (
+            "error: word length 11 exceeds materialize_cap = 10\n")
+        monkeypatch.setenv("FRACPACK_MATERIALIZE_CAP", "11")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["word"]) == 11
 
 
 class TestBlowup:
@@ -538,8 +566,10 @@ class TestLevelCommandsExitCleanly:
                              {"FRACPACK_ENUM_CAP": "6"})
 
 
-# Depths stay below 10: count, density and blowup have no work cap past
-# lam_1, so a deep request runs instead of exiting 3.
+# Drawn depths stay below 10: count, density and blowup have no work cap
+# past lam_1, so a deep request under the materialization cap runs instead
+# of exiting 3.  A depth past that cap exits 3 before any word or power of
+# 4 is built, as the @examples at 10**30 check.
 bad_ints = st.sampled_from(["", "x", "1.5", "1e3", "0x3", "2**4"])
 small_ints = mostly(st.integers(-3, 9).map(str), bad_ints)
 sizes = mostly(st.integers(-3, 40).map(str), bad_ints)
@@ -591,6 +621,10 @@ class TestOtherCommandsExitCleanly:
     @example(argv=["verify", "--M", "0", "--k-max", "5"], desc="paper", fmt=[])
     @example(argv=["count", "--n", "9", "--center", "0", "--C", "1e300", "--witnesses"],
              desc="explicit:2,6,14", fmt=[])
+    # 4**n, 4**-n and a default word of 10**30 symbols are never built.
+    @example(argv=["count", "--n", str(10 ** 30), "--center", "0"], desc="paper", fmt=[])
+    @example(argv=["count", "--n", str(-10 ** 30), "--center", "0"], desc="paper", fmt=[])
+    @example(argv=["density", "--n-max", str(10 ** 30)], desc="explicit:2,6", fmt=[])
     @settings(max_examples=1000, deadline=None)
     def test_exit_code_without_traceback(self, argv, desc, fmt):
         lam = [] if argv[0] == "dimension" else [f"--lambda={desc}"]

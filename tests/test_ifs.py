@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,9 @@ from fracpack import (
     similarity_dimension,
     validate_word,
 )
+import fracpack.ifs
+import oracle
+from fracpack.cli import main
 from fracpack.ifs import _level_keys, _lex_rank, count_span
 from conftest import (LEVEL_SEQUENCES, exact_value, full_level_keys, span_count_oracle,
                       walker_only)
@@ -363,6 +367,103 @@ class TestKeyedWalk:
             count_span(sys_toy, 2, *int_ends(u, grid), 1)
         assert (count_span(sys_toy, 2, *int_ends(grid, u), 0)
                 == span_count_oracle(lam_toy, 2, grid, u, 0))
+
+
+# The walk against perfbench's oracle, which shares no code with fracpack:
+# three irrational u (sign tests) and two rational u (integer keys).  An
+# oracle.Undecided raised here fails the test.
+oracle_lams = st.sampled_from(["paper", "geometric:b=3,start=3", "geometric:b=3,start=4",
+                               "explicit:2,6,14", "explicit:1,3,7"])
+
+
+def oracle_counts(desc, n, A, B, k, width):
+    """(inside, meeting) for level-n points against [(A[0] + B[0]*u)/k, (A[1] + B[1]*u)/k]
+    in units of 4**-n, for spans [x, x + width] in those units."""
+    lv = oracle.level(desc, n)
+    w = width * k
+    inside = max(0, lv.count(A[1] - w, B[1], k, False) - lv.count(A[0], B[0], k, True))
+    return inside, lv.count(A[1], B[1], k, False) - lv.count(A[0] - w, B[0], k, True)
+
+
+def symbol_order(word):
+    return word.translate(str.maketrans("01u", "012"))
+
+
+class TestWalkAgainstOracle:
+    # Balls: both ends share the centre's q-part, so the walk's wide-span
+    # rule applies.  The centre is a word moved by a/3 of a level-n cell,
+    # and the radius is num/den cells.
+    @given(desc=oracle_lams, n=st.integers(0, 7), w=st.text(alphabet="01u", max_size=10),
+           a=st.integers(-6, 6), num=st.integers(0, 30), den=st.integers(1, 12))
+    @example(desc="geometric:b=3,start=3", n=7, w="u000u0uu00", a=0, num=1, den=1)
+    @example(desc="paper", n=7, w="0", a=0, num=3, den=1)
+    @example(desc="explicit:1,3,7", n=4, w="u1u1", a=2, num=0, den=1)
+    @settings(max_examples=150, deadline=None)
+    def test_ball_counts_and_witnesses(self, desc, n, w, a, num, den):
+        P, Q, L = oracle.project(w[:n + 3])
+        center = SymbolicPoint(F(P, 4 ** L) + F(a, 3 * 4 ** n), F(Q, 4 ** L))
+        with walker_only():
+            got = count_in_ball(IFSSystem(make_lacunary(desc)), n, center,
+                                F(num, den * 4 ** n), witnesses=True)
+        # Centre and radius in units of 4**-n over k = 3*den*4**L.
+        k = 3 * den * 4 ** L
+        A, B, R = 3 * den * P * 4 ** n + a * den * 4 ** L, 3 * den * Q * 4 ** n, 3 * num * 4 ** L
+        assert got.count == oracle_counts(desc, n, (A - R, A + R), (B, B), k, 0)[0]
+        # The witnesses are distinct, in 0, 1, u order, and each lies in the ball.
+        assert list(got.witnesses) == sorted(set(got.witnesses), key=symbol_order)
+        sign = oracle.level(desc, n).u.sign
+        for word in got.witnesses:
+            Pw, Qw, _ = oracle.project(word)
+            assert sign(k * Pw - A + R, k * Qw - B) >= 0 >= sign(k * Pw - A - R, k * Qw - B)
+
+    # Ends that each take a word's q-part; where the two differ, the
+    # wide-span rule does not apply.  Each end is the word moved by k/3 of
+    # a level-n cell, over den = 3*4**(n+2).
+    @given(desc=oracle_lams, n=st.integers(0, 7), width=st.integers(0, 1),
+           a=st.text(alphabet="01u", max_size=9), b=st.text(alphabet="01u", max_size=9),
+           ka=st.integers(-6, 6), kb=st.integers(-6, 6))
+    @example(desc="geometric:b=3,start=3", n=4, width=0, a="0u", b="u1", ka=0, kb=0)
+    # [0, 4**-3] is exactly as wide as the cell it holds.
+    @example(desc="geometric:b=3,start=3", n=3, width=1, a="", b="", ka=0, kb=3)
+    # [0, u/4] has no width in p but holds the cell [0, 4**-4].
+    @example(desc="geometric:b=3,start=3", n=4, width=1, a="", b="u", ka=0, kb=0)
+    @example(desc="paper", n=3, width=1, a="u", b="1u", ka=-2, kb=3)
+    @example(desc="explicit:2,6,14", n=2, width=1, a="", b="1", ka=0, kb=3)
+    @settings(max_examples=150, deadline=None)
+    def test_span_counts(self, desc, n, width, a, b, ka, kb):
+        den = 3 * 4 ** (n + 2)
+        ends = []
+        for word, shift in ((a, ka), (b, kb)):
+            P, Q, L = oracle.project(word[:n + 2])
+            ends.append((3 * P * 4 ** (n + 2 - L) + 16 * shift, 3 * Q * 4 ** (n + 2 - L)))
+        (lp, lq), (hp, hq) = ends
+        if oracle.level(desc, n).u.sign(hp - lp, hq - lq) < 0:
+            (lp, lq), (hp, hq) = (hp, hq), (lp, lq)
+        sys = IFSSystem(make_lacunary(desc))
+        heads = []
+        with walker_only():
+            got = count_span(sys, n, [lp, lq, hp, hq], den, width)
+            listed = count_span(sys, n, [lp, lq, hp, hq], den, width, heads)
+        want = oracle_counts(desc, n, (lp << 2 * n, hp << 2 * n), (lq << 2 * n, hq << 2 * n),
+                             den, width)
+        assert got == listed == want
+        assert sum(3 ** (n - len(h)) for h in heads) == want[0]
+
+
+class TestWalkSignTests:
+    def test_children_take_one_miss_test(self, capsys):
+        # A split node passed both miss tests, so its 0 child takes only the
+        # test below lo and its 1 child only the test above hi, and with
+        # equal q-parts a hull wider than the ball skips the inside tests.
+        # Two miss tests per child made 2090 sign calls here; either rule
+        # alone leaves more than 1700, and both leave 1352.
+        argv = ["count", "--lambda", "geometric:b=3,start=3", "--n", "22",
+                "--center", "u000u0uu00u00000000000", "--C", "1"]
+        with mock.patch.object(fracpack.ifs, "affine_sign_scaled",
+                               wraps=fracpack.ifs.affine_sign_scaled) as sign:
+            assert main(argv) == 0
+        assert '"count": 86' in capsys.readouterr().out
+        assert sign.call_count <= 1400
 
 
 class TestDistinctPoints:
