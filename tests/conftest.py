@@ -1,21 +1,20 @@
 import contextlib
-import itertools
 import math
-import sys
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from fracpack import IFSSystem, LacunarySequence, make_lacunary, project
-from fracpack.numeric import affine_sign_scaled
+# perfbench/oracle.py, the benchmark's brute force, imports nothing from
+# fracpack: every expected count, value and sign in these tests comes from
+# it.  pyproject.toml puts perfbench on the path.
+import oracle
+from fracpack import IFSSystem, LacunarySequence, SymbolicPoint, make_lacunary
 
 MASTER_SEED = 0x5EED
 
-# perfbench/oracle.py, the benchmark's brute force, imports nothing from
-# fracpack; tests import it in place as "oracle".
-sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+# The finite sequence of lam_toy: u = 4**-2 + 4**-6 + 4**-14.
+TOY = "explicit:2,6,14"
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +24,7 @@ def lam_paper():
 
 @pytest.fixture(scope="session")
 def lam_toy():
-    return make_lacunary("explicit:2,6,14")
+    return make_lacunary(TOY)
 
 
 @pytest.fixture(scope="session")
@@ -43,10 +42,38 @@ def sys_toy(lam_toy):
     return IFSSystem(lam_toy)
 
 
-def exact_value(point, lam) -> Fraction:
-    """Collapse p + q*u to a plain rational; only valid when u is rational."""
-    u = lam.u_exact()
-    return point.p + point.q * u
+def u_value(desc) -> Fraction:
+    """u of a finite sequence, as oracle.U sums it."""
+    u = oracle.U(desc)
+    assert u.exact, f"u is irrational under {desc}"
+    return Fraction(u.lo, u.den)
+
+
+def word_point(word) -> SymbolicPoint:
+    """A word's projection p + q*u, by oracle.project."""
+    P, Q, L = oracle.project(word)
+    return SymbolicPoint(Fraction(P, 4 ** L), Fraction(Q, 4 ** L))
+
+
+def exact_value(point, desc) -> Fraction:
+    """Collapse p + q*u to a plain rational; desc must be a finite sequence."""
+    return point.p + point.q * u_value(desc)
+
+
+def span_counts(desc, n, lo, hi, width) -> tuple[int, int]:
+    """(inside, meeting): level-n words whose span lies inside, or meets, [lo, hi].
+
+    A word at x spans [x, x + width*4**-n]: width 0 is a point (a ball
+    count), width 1 its level-n cylinder.  The ends are (p, q) pairs of
+    rationals standing for p + q*u.  oracle.level counts the words below
+    each end, with ends and spans in units of 4**-n over one denominator k.
+    """
+    k = math.lcm(*(Fraction(x).denominator for x in (*lo, *hi)))
+    (A0, B0), (A1, B1) = ([int(Fraction(x) * k * 4 ** n) for x in end] for end in (lo, hi))
+    lv = oracle.level(desc, n)
+    w = width * k
+    inside = max(0, lv.count(A1 - w, B1, k, False) - lv.count(A0, B0, k, True))
+    return inside, lv.count(A1, B1, k, False) - lv.count(A0 - w, B0, k, True)
 
 
 @contextlib.contextmanager
@@ -57,53 +84,8 @@ def walker_only():
         yield
 
 
-def rational_sign(a, b, lam) -> int:
-    """Exact sign of a + b*u for rationals a, b, scaled to a common denominator."""
-    a, b = Fraction(a), Fraction(b)
-    d = math.lcm(a.denominator, b.denominator)
-    return affine_sign_scaled(int(a * d), int(b * d), lam)
-
-
-def span_count_oracle(lam, n, lo, hi, width) -> tuple[int, int]:
-    """(inside, meeting) over all 3**n words, one word at a time.
-
-    The reference for count_span, which takes the same ends as integers
-    over one denominator, and for count_in_ball and measure_bounds: a word
-    at x spans [x, x + width*4**-n], and each end of that span is placed
-    against the rational (p, q) ends lo and hi by one exact sign test.
-    """
-    w = Fraction(width, 4 ** n)
-    inside = meeting = 0
-    for t in itertools.product("01u", repeat=n):
-        x = project("".join(t))
-        if (rational_sign(x.p - hi[0], x.q - hi[1], lam) <= 0
-                and rational_sign(x.p + w - lo[0], x.q - lo[1], lam) >= 0):
-            meeting += 1
-            inside += (rational_sign(x.p - lo[0], x.q - lo[1], lam) >= 0
-                       and rational_sign(x.p + w - hi[0], x.q - hi[1], lam) <= 0)
-    return inside, meeting
-
-
-def influence_scan_oracle(w: str, j: int, lam) -> list[tuple[int, int]]:
-    """(i, k) of every position influencing j, tested one position at a time.
-
-    The reference for the bitmask scan: i influences j through the window
-    k with lam_k < j - i <= lam_{k+1} when it shows u and i + lam_1, ...,
-    i + lam_k show 0; a distance past a finite list's last term has no
-    window.
-    """
-    out = []
-    for i in range(1, j):
-        k = len(lam.terms_below(j - i))
-        if lam.term_or_none(k + 1) is None:
-            continue
-        if w[i - 1] == "u" and all(w[i - 1 + lam.term(m)] == "0" for m in range(1, k + 1)):
-            out.append((i, k))
-    return out
-
-
-# The level-key oracle tests run on these.  explicit:1,600 puts a 1200-bit
-# step into every key past level 0.
+# The level-key tests run on these.  explicit:1,600 puts a 1200-bit step
+# into every key past level 0.
 LEVEL_SEQUENCES = ["paper", "geometric:b=3,start=3", "geometric:b=3,start=4",
                    "explicit:1", "explicit:2,6,14", "explicit:1,3,7", "explicit:1,600"]
 
@@ -111,12 +93,12 @@ LEVEL_SEQUENCES = ["paper", "geometric:b=3,start=3", "geometric:b=3,start=4",
 def full_level_keys(sys, n, keep_q=False):
     """(L, N, T, shift, levels) with every level 0..n built in full.
 
-    The level enumeration that pack, boxcount and distinct_level_points
-    used before level n was read as three runs of level n-1, kept as their
-    oracle: level k adds the digit 0, 1 or u at weight 4**(n-k) to level
-    k-1.  With keep_q a level is a sorted list, (V << 2n) | Q for
-    irrational u, or V deduped on every level but the last; otherwise it
-    is the set of distinct V.
+    The key form of _level_keys, built the other way: level k adds the
+    digit 0, 1 or u at weight 4**(n-k) to level k-1.  With keep_q a level
+    is a sorted list, (V << 2n) | Q for irrational u, or V deduped on
+    every level but the last; otherwise it is the set of distinct V.
+    Only the key form is checked against it; value order and counts come
+    from oracle.level.
     """
     L, N, T = sys.lam.truncation((4 ** n - 1) // 3)
     exact = sys.lam.u_is_rational

@@ -6,8 +6,6 @@ exact counting oracles, the perturbation mechanism, concentration
 bounds, certified measure arithmetic, and CLI reproducibility.
 """
 
-import bisect
-import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -37,7 +35,8 @@ from fracpack import (
     sample_sequence,
     similarity_dimension,
 )
-from conftest import MASTER_SEED, exact_value
+import oracle
+from conftest import MASTER_SEED, TOY, exact_value, word_point
 from test_cli import ALL_COMMANDS, main
 
 
@@ -53,29 +52,15 @@ def test_01_similarity_dimension(capsys):
     assert ok
 
 
-def test_02_counting_oracle(capsys, sys_toy, lam_toy):
-    u = lam_toy.u_exact()
-    values_by_n = {}
-    for n in range(1, 11):
-        vals = []
-        for w in itertools.product("01u", repeat=n):
-            x = project("".join(w))
-            vals.append(x.p + x.q * u)
-        vals.sort()
-        values_by_n[n] = vals
+def test_02_counting_oracle(capsys, sys_toy):
     rng = random.Random(f"{MASTER_SEED}:balls")
     mismatches = 0
     for _ in range(100):
         n = rng.randint(1, 10)
         word = "".join(rng.choice("01u") for _ in range(n))
         C = rng.choice([F(1, 2), F(1), F(2), F(3)])
-        center = project(word)
-        radius = C * F(1, 4 ** n)
-        pruned = count_in_ball(sys_toy, n, center, radius).count
-        c = center.p + center.q * u
-        vals = values_by_n[n]
-        brute = bisect.bisect_right(vals, c + radius) - bisect.bisect_left(vals, c - radius)
-        if pruned != brute:
+        pruned = count_in_ball(sys_toy, n, word_point(word), C * F(1, 4 ** n)).count
+        if pruned != oracle.ball_count(TOY, n, word, C):
             mismatches += 1
     ok = mismatches == 0
     announce(capsys, 2, "pruned counting matches full enumeration", ok)
@@ -90,19 +75,19 @@ def test_03_perturbation_family(capsys, lam_toy):
     violations = 0
     for t in range(1000):
         word = sample_sequence(f"{MASTER_SEED}:pert:{t}", L)
-        full = exact_value(project(word), lam_toy)
+        full = exact_value(word_point(word), TOY)
         fam = perturbation_family(word, j, lam_toy)
         s_count = influence_count(word, j, lam_toy).count
         if len(fam) != s_count + 1 or len(set(fam)) != len(fam):
             violations += 1
             continue
-        base = exact_value(project(fam[0]), lam_toy)
+        base = exact_value(word_point(fam[0]), TOY)
         for member in fam[1:]:
-            val = exact_value(project(member), lam_toy)
+            val = exact_value(word_point(member), TOY)
             if abs(base - val) > tail_bound:
                 violations += 1
         for member in fam:
-            val = exact_value(project(member), lam_toy)
+            val = exact_value(word_point(member), TOY)
             if abs(val - full) > cluster_bound:
                 violations += 1
     ok = violations == 0

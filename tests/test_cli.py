@@ -25,7 +25,7 @@ from fracpack import (
     sample_sequence,
 )
 from fracpack.cli import _render_json, build_parser, main, parse_args
-from conftest import LEVEL_SEQUENCES, span_count_oracle
+from conftest import LEVEL_SEQUENCES, span_counts
 
 
 def run(capsys, *argv):
@@ -422,7 +422,7 @@ class TestMeasurePackBoxcount:
                            f"--hi={ends[1]}", "--n", "3")
         payload = json.loads(out)
         lo, hi = (Fraction(e) for e in ends)
-        want = span_count_oracle(make_lacunary("paper"), 3, (lo, 0), (hi, 0), 1)
+        want = span_counts("paper", 3, (lo, 0), (hi, 0), 1)
         assert code == 0 and (payload["lo"], payload["hi"]) == ends
         assert (payload["contained"], payload["intersecting"]) == want
 

@@ -17,10 +17,10 @@ from fracpack import (
     make_lacunary,
     perturb,
     perturbation_family,
-    project,
     sample_sequence,
 )
-from conftest import MASTER_SEED, exact_value, influence_scan_oracle
+import oracle
+from conftest import MASTER_SEED, TOY, exact_value, word_point
 
 # Infinite kinds with lam_1 = 27, 1 and 3, and two finite lists whose last
 # window ends the scan.
@@ -168,7 +168,7 @@ class TestBitmaskScans:
             return
         j = (j - 1) % len(w) + 1
         got = [(r.i, r.k) for r in influence_count(w, j, seq).records]
-        assert got == influence_scan_oracle(w, j, seq)
+        assert got == oracle.influence_positions(lam, w, j)
 
     @given(lam=st.sampled_from(ORACLE_LAMS[:4]), j=st.integers(1, 200),
            w=st.text(alphabet="01u", min_size=202, max_size=202), extra=st.integers(0, 2))
@@ -287,8 +287,9 @@ class TestPerturb:
 
     def test_projection_moves_by_exact_tail(self):
         lam = make_lacunary("explicit:2,6")
-        before = exact_value(project("u1000"), lam)
-        after = exact_value(project(perturb("u1000", InfluenceRecord(1, 1), lam)), lam)
+        before = exact_value(word_point("u1000"), "explicit:2,6")
+        after = exact_value(word_point(perturb("u1000", InfluenceRecord(1, 1), lam)),
+                            "explicit:2,6")
         assert before - after == F(1, 16384)
 
     def test_depth_zero_only_drops_the_u(self, lam_toy):
@@ -308,7 +309,7 @@ class TestPerturb:
         j = len(w)
         for rec in influence_count(w, j, lam_toy).records:
             moved = perturb(w, rec, lam_toy)
-            diff = exact_value(project(w), lam_toy) - exact_value(project(moved), lam_toy)
+            diff = exact_value(word_point(w), TOY) - exact_value(word_point(moved), TOY)
             tail = sum(
                 (F(1, 4 ** (rec.i + lam_toy.term(m))) for m in range(rec.k + 1, 4)),
                 F(0),
@@ -335,7 +336,7 @@ class TestPerturbationFamily:
         word = sample_sequence(f"prop:{seed}", 13)
         fam = perturbation_family(word, 13, lam_toy)
         assert len(fam) == len(set(fam))
-        base = exact_value(project(fam[0]), lam_toy)
+        base = exact_value(word_point(fam[0]), TOY)
         for member in fam[1:]:
-            val = exact_value(project(member), lam_toy)
+            val = exact_value(word_point(member), TOY)
             assert abs(val - base) <= F(4, 3) * F(1, 4 ** 13)

@@ -25,8 +25,8 @@ import fracpack.ifs
 import oracle
 from fracpack.cli import main
 from fracpack.ifs import _level_keys, _lex_rank, count_span
-from conftest import (LEVEL_SEQUENCES, exact_value, full_level_keys, span_count_oracle,
-                      walker_only)
+from conftest import (LEVEL_SEQUENCES, TOY, exact_value, full_level_keys, span_counts,
+                      u_value, walker_only, word_point)
 
 ZERO = SymbolicPoint(F(0), F(0))
 
@@ -114,30 +114,26 @@ class TestWordsAndMaps:
 
 class TestCylinders:
     @given(w=words.filter(bool), ch=st.sampled_from("01u"))
-    def test_child_nested_in_parent(self, w, ch, lam_toy):
+    def test_child_nested_in_parent(self, w, ch):
         # The cylinder of a word v is [project(v), project(v) + 4**-len(v)].
-        lo_o = exact_value(project(w), lam_toy)
+        lo_o = exact_value(project(w), TOY)
         hi_o = lo_o + F(1, 4 ** len(w))
-        lo_i = exact_value(project(w + ch), lam_toy)
+        lo_i = exact_value(project(w + ch), TOY)
         assert lo_o <= lo_i and lo_i + F(1, 4 ** (len(w) + 1)) <= hi_o
 
     @given(w=words, n=st.integers(0, 12))
-    def test_truncation_error_bound(self, w, n, lam_toy):
+    def test_truncation_error_bound(self, w, n):
         n = min(n, len(w))
-        full = exact_value(project(w), lam_toy)
-        trunc = exact_value(project(w[:n]), lam_toy)
+        full = exact_value(project(w), TOY)
+        trunc = exact_value(project(w[:n]), TOY)
         assert abs(full - trunc) <= F(1, 3) * F(1, 4 ** n)
 
 
-def brute_hits(lam, n, center: F, radius: F) -> list[str]:
-    """Unpruned oracle: all 3**n words in the ball, in 0, 1, u order."""
+def brute_hits(n, center: F, radius: F) -> list[str]:
+    """Unpruned oracle under TOY: all 3**n words in the ball, in 0, 1, u order."""
     candidates = ("".join(t) for t in itertools.product("01u", repeat=n))
     return [w for w in candidates
-            if abs(exact_value(project(w), lam) - center) <= radius]
-
-
-def brute_count(lam, n, center: F, radius: F) -> int:
-    return len(brute_hits(lam, n, center, radius))
+            if abs(exact_value(word_point(w), TOY) - center) <= radius]
 
 
 class TestCounting:
@@ -174,22 +170,22 @@ class TestCounting:
         num=st.integers(0, 8),
     )
     @settings(max_examples=60, deadline=None)
-    def test_pruned_matches_brute_force(self, w, n, num, sys_toy, lam_toy):
+    def test_pruned_matches_brute_force(self, w, n, num, sys_toy):
         # Center at a projected word; radius num/2 * 4^-n covers C in {0,...,4}.
-        center = exact_value(project(w), lam_toy)
+        center = exact_value(word_point(w), TOY)
         radius = F(num, 2) * F(1, 4 ** n)
         got = count_in_ball(sys_toy, n, SymbolicPoint(center, F(0)), radius)
-        assert got.count == brute_count(lam_toy, n, center, radius)
+        assert got.count == len(brute_hits(n, center, radius))
 
     @given(w=st.text(alphabet="01u", min_size=0, max_size=4), n=st.integers(0, 4))
     @settings(max_examples=30, deadline=None)
-    def test_witness_list_matches_count(self, w, n, sys_toy, lam_toy):
-        center = exact_value(project(w), lam_toy)
+    def test_witness_list_matches_count(self, w, n, sys_toy):
+        center = exact_value(word_point(w), TOY)
         radius = F(1, 4 ** n)
         got = count_in_ball(sys_toy, n, SymbolicPoint(center, F(0)), radius, witnesses=True)
         assert len(got.witnesses) == got.count == len(set(got.witnesses))
         assert all(len(v) == n for v in got.witnesses)
-        assert got.witnesses == tuple(brute_hits(lam_toy, n, center, radius))
+        assert got.witnesses == tuple(brute_hits(n, center, radius))
 
 
 # Both keep u irrational; start=12 puts the below-grid gate inside the
@@ -240,7 +236,7 @@ class TestRankPath:
     @settings(max_examples=80, deadline=None)
     def test_rank_path_matches_walker(self, desc, n, w, num):
         sys = IFSSystem(make_lacunary(desc))
-        center, radius = project(w[:n + 6]), F(num, 6) * F(1, 4 ** n)
+        center, radius = word_point(w[:n + 6]), F(num, 6) * F(1, 4 ** n)
         with walker_only():
             walked = count_in_ball(sys, n, center, radius).count
         assert count_in_ball(sys, n, center, radius).count == walked
@@ -259,14 +255,13 @@ class TestWalkPastGate:
     @example(desc="geometric:b=3,start=1", n=0, w="1", shift=1, num=2)
     @settings(max_examples=60, deadline=None)
     def test_ball_matches_brute_force(self, desc, n, w, shift, num):
-        lam = make_lacunary(desc)
-        x = project(w[:n + 2])
+        x = word_point(w[:n + 2])
         center = SymbolicPoint(x.p + F(shift, 4 ** (n + 1)), x.q)
         radius = F(num, 4) * F(1, 4 ** n)
         lo = (center.p - radius, center.q)
         hi = (center.p + radius, center.q)
-        want, _ = span_count_oracle(lam, n, lo, hi, 0)
-        assert count_in_ball(IFSSystem(lam), n, center, radius).count == want
+        want, _ = span_counts(desc, n, lo, hi, 0)
+        assert count_in_ball(IFSSystem(make_lacunary(desc)), n, center, radius).count == want
 
 
 class TestBallEnds:
@@ -283,14 +278,13 @@ class TestBallEnds:
     @example(desc="geometric:b=3,start=1", n=5, w="u1u0", a=-1, b=12, num=35, den=24)
     @settings(max_examples=80, deadline=None)
     def test_matches_oracle(self, desc, n, w, a, b, num, den):
-        lam = make_lacunary(desc)
-        x = project(w[:n + 6])
+        x = word_point(w[:n + 6])
         center = SymbolicPoint(x.p + F(a, b * 4 ** n), x.q)
         radius = F(num, den * 4 ** n)
         lo = (center.p - radius, center.q)
         hi = (center.p + radius, center.q)
-        got = count_in_ball(IFSSystem(lam), n, center, radius).count
-        assert got == span_count_oracle(lam, n, lo, hi, 0)[0]
+        got = count_in_ball(IFSSystem(make_lacunary(desc)), n, center, radius).count
+        assert got == span_counts(desc, n, lo, hi, 0)[0]
 
 
 # Rational u, where the walk compares integer keys.  Under explicit:1,3,7
@@ -298,13 +292,13 @@ class TestBallEnds:
 keyed_lams = st.sampled_from(["explicit:2,6,14", "explicit:1,3,7"])
 
 
-def inside_words(lam, n, lo, hi, width) -> list[str]:
+def inside_words(desc, n, lo, hi, width) -> list[str]:
     """Unpruned oracle: the words whose span lies inside [lo, hi], in 0, 1, u order."""
-    u = lam.u_exact()
+    u = u_value(desc)
     lo, hi = (p + q * u for p, q in (lo, hi))
     candidates = ("".join(t) for t in itertools.product("01u", repeat=n))
     return [w for w in candidates
-            if lo <= exact_value(project(w), lam) <= hi - F(width, 4 ** n)]
+            if lo <= exact_value(word_point(w), desc) <= hi - F(width, 4 ** n)]
 
 
 def int_ends(lo, hi) -> tuple[list[int], int]:
@@ -332,17 +326,17 @@ class TestKeyedWalk:
     @example(desc="explicit:2,6,14", n=0, width=1, a="", b="u", ka=0, kb=1)
     @settings(max_examples=80, deadline=None)
     def test_span_matches_brute_force(self, desc, n, width, a, b, ka, kb):
-        lam = make_lacunary(desc)
-        u = lam.u_exact()
+        sys = IFSSystem(make_lacunary(desc))
+        u = u_value(desc)
         ends = [(x.p + F(k, 3 * 4 ** n), x.q)
-                for x, k in ((project(a[:n + 2]), ka), (project(b[:n + 2]), kb))]
+                for x, k in ((word_point(a[:n + 2]), ka), (word_point(b[:n + 2]), kb))]
         lo, hi = sorted(ends, key=lambda e: e[0] + e[1] * u)
         ends, den = int_ends(lo, hi)
         heads = []
-        got = count_span(IFSSystem(lam), n, ends, den, width, heads)
-        assert got == span_count_oracle(lam, n, lo, hi, width)
-        assert count_span(IFSSystem(lam), n, ends, den, width) == got
-        assert expand(heads, n) == inside_words(lam, n, lo, hi, width)
+        got = count_span(sys, n, ends, den, width, heads)
+        assert got == span_counts(desc, n, lo, hi, width)
+        assert count_span(sys, n, ends, den, width) == got
+        assert expand(heads, n) == inside_words(desc, n, lo, hi, width)
 
     # Radii k/3 * 4**-n around a centre with a q-part.
     @given(desc=keyed_lams, n=st.integers(0, 6), w=st.text(alphabet="01u", max_size=8),
@@ -351,22 +345,21 @@ class TestKeyedWalk:
     @example(desc="explicit:1,3,7", n=3, w="u1u", k=0)  # a point ball on a level point
     @settings(max_examples=60, deadline=None)
     def test_witnesses_match_brute_force(self, desc, n, w, k):
-        lam = make_lacunary(desc)
-        center = project(w[:n + 2])
+        center = word_point(w[:n + 2])
         radius = F(k, 3 * 4 ** n)
         lo = (center.p - radius, center.q)
         hi = (center.p + radius, center.q)
-        got = count_in_ball(IFSSystem(lam), n, center, radius, witnesses=True)
-        assert got.witnesses == tuple(inside_words(lam, n, lo, hi, 0))
-        assert got.count == span_count_oracle(lam, n, lo, hi, 0)[0]
+        got = count_in_ball(IFSSystem(make_lacunary(desc)), n, center, radius, witnesses=True)
+        assert got.witnesses == tuple(inside_words(desc, n, lo, hi, 0))
+        assert got.count == span_counts(desc, n, lo, hi, 0)[0]
 
-    def test_reversed_by_q_part_rejected(self, sys_toy, lam_toy):
+    def test_reversed_by_q_part_rejected(self, sys_toy):
         # u = 1/16 + 4**-6 + 4**-14: only the q-part orders the ends.
         u, grid = (F(0), F(1)), (F(1, 16), F(0))
         with pytest.raises(ValueError, match="out of order"):
             count_span(sys_toy, 2, *int_ends(u, grid), 1)
         assert (count_span(sys_toy, 2, *int_ends(grid, u), 0)
-                == span_count_oracle(lam_toy, 2, grid, u, 0))
+                == span_counts(TOY, 2, grid, u, 0))
 
 
 # The walk against perfbench's oracle, which shares no code with fracpack:
@@ -374,15 +367,6 @@ class TestKeyedWalk:
 # oracle.Undecided raised here fails the test.
 oracle_lams = st.sampled_from(["paper", "geometric:b=3,start=3", "geometric:b=3,start=4",
                                "explicit:2,6,14", "explicit:1,3,7"])
-
-
-def oracle_counts(desc, n, A, B, k, width):
-    """(inside, meeting) for level-n points against [(A[0] + B[0]*u)/k, (A[1] + B[1]*u)/k]
-    in units of 4**-n, for spans [x, x + width] in those units."""
-    lv = oracle.level(desc, n)
-    w = width * k
-    inside = max(0, lv.count(A[1] - w, B[1], k, False) - lv.count(A[0], B[0], k, True))
-    return inside, lv.count(A[1], B[1], k, False) - lv.count(A[0] - w, B[0], k, True)
 
 
 def symbol_order(word):
@@ -402,13 +386,15 @@ class TestWalkAgainstOracle:
     def test_ball_counts_and_witnesses(self, desc, n, w, a, num, den):
         P, Q, L = oracle.project(w[:n + 3])
         center = SymbolicPoint(F(P, 4 ** L) + F(a, 3 * 4 ** n), F(Q, 4 ** L))
+        radius = F(num, den * 4 ** n)
         with walker_only():
-            got = count_in_ball(IFSSystem(make_lacunary(desc)), n, center,
-                                F(num, den * 4 ** n), witnesses=True)
+            got = count_in_ball(IFSSystem(make_lacunary(desc)), n, center, radius,
+                                witnesses=True)
+        lo, hi = (center.p - radius, center.q), (center.p + radius, center.q)
+        assert got.count == span_counts(desc, n, lo, hi, 0)[0]
         # Centre and radius in units of 4**-n over k = 3*den*4**L.
         k = 3 * den * 4 ** L
         A, B, R = 3 * den * P * 4 ** n + a * den * 4 ** L, 3 * den * Q * 4 ** n, 3 * num * 4 ** L
-        assert got.count == oracle_counts(desc, n, (A - R, A + R), (B, B), k, 0)[0]
         # The witnesses are distinct, in 0, 1, u order, and each lies in the ball.
         assert list(got.witnesses) == sorted(set(got.witnesses), key=symbol_order)
         sign = oracle.level(desc, n).u.sign
@@ -444,8 +430,7 @@ class TestWalkAgainstOracle:
         with walker_only():
             got = count_span(sys, n, [lp, lq, hp, hq], den, width)
             listed = count_span(sys, n, [lp, lq, hp, hq], den, width, heads)
-        want = oracle_counts(desc, n, (lp << 2 * n, hp << 2 * n), (lq << 2 * n, hq << 2 * n),
-                             den, width)
+        want = span_counts(desc, n, (F(lp, den), F(lq, den)), (F(hp, den), F(hq, den)), width)
         assert got == listed == want
         assert sum(3 ** (n - len(h)) for h in heads) == want[0]
 
@@ -480,11 +465,11 @@ class TestDistinctPoints:
     @pytest.mark.parametrize("desc", LEVEL_SEQUENCES)
     def test_matches_full_last_level(self, desc):
         # Level n is level n-1 and its copies shifted by the first digits u
-        # and 1; the built level n is the oracle.
+        # and 1.  Under irrational u, distinct words are distinct points.
         sys = IFSSystem(make_lacunary(desc))
         for n in range(0, 9):
-            *_, levels = full_level_keys(sys, n, keep_q=True)
-            assert distinct_level_points(sys, n) == len(set(levels[-1]))
+            lv = oracle.level(desc, n)
+            assert distinct_level_points(sys, n) == len(set(lv.keys if lv.u.exact else lv.pairs))
 
     def test_enumeration_cap_enforced(self, sys_paper):
         with pytest.raises(EnumerationCapError):

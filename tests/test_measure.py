@@ -1,7 +1,6 @@
 """Tests for certified measure bounds, density ratios, packing and box counts."""
 
 import functools
-import itertools
 import math
 from bisect import bisect_left
 from fractions import Fraction as F
@@ -28,9 +27,9 @@ from fracpack import (
     recommended_word_length,
 )
 from fracpack import measure
-from fracpack.numeric import _u_enclosure_info, affine_sign_scaled
-from conftest import (LEVEL_SEQUENCES, exact_value, full_level_keys, rational_sign,
-                      span_count_oracle, walker_only)
+from fracpack.numeric import affine_sign_scaled
+import oracle
+from conftest import LEVEL_SEQUENCES, TOY, exact_value, span_counts, walker_only, word_point
 
 ZERO = SymbolicPoint(F(0), F(0))
 
@@ -39,103 +38,20 @@ def rational_ends(a, b) -> tuple[SymbolicPoint, SymbolicPoint]:
     return SymbolicPoint(F(a), F(0)), SymbolicPoint(F(b), F(0))
 
 
-def point_order(lam):
-    """Sort key that orders points p + q*u by value."""
-    return functools.cmp_to_key(lambda s, t: rational_sign(s.p - t.p, s.q - t.q, lam))
+def value_order(desc):
+    """Sort key that orders points p + q*u by value, by oracle.U's sign."""
+    sign = oracle.U(desc).sign
+
+    def cmp(s, t):
+        a, b = s.p - t.p, s.q - t.q
+        d = math.lcm(a.denominator, b.denominator)
+        return sign(int(a * d), int(b * d))
+
+    return functools.cmp_to_key(cmp)
 
 
 dyadics = st.integers(0, 16).map(lambda k: F(k, 16))
 quarters = st.integers(0, 4).map(lambda k: F(k, 4))
-
-
-def brute_cylinders(lam, n, lo: F, hi: F) -> tuple[int, int]:
-    """(contained, intersecting) over all 3**n cylinders [x, x + 4**-n]."""
-    width = F(1, 4 ** n)
-    contained = intersecting = 0
-    for t in itertools.product("01u", repeat=n):
-        x = exact_value(project("".join(t)), lam)
-        if x <= hi and lo <= x + width:
-            intersecting += 1
-            contained += lo <= x and x + width <= hi
-    return contained, intersecting
-
-
-def level_pairs(n):
-    """Scaled (P, Q) of every length-n word."""
-    return [(int(x.p * 4 ** n), int(x.q * 4 ** n))
-            for x in (project("".join(t)) for t in itertools.product("01u", repeat=n))]
-
-
-def sign_test_oracle(lam, n, delta):
-    """Greedy pack count at level n and cells at levels 1..n, irrational u.
-
-    Sorts points by affine_sign_scaled comparisons, accepts by one sign
-    test per step, and floors P + Q*u by refining enclosures of u until
-    both ends share a floor.
-    """
-    def floor(P, Q):
-        J = 1
-        while Q:
-            lo, hi = (Q * e.numerator // e.denominator
-                      for e in _u_enclosure_info(lam, J)[:2])
-            if lo == hi:
-                return P + lo
-            J += 1
-        return P
-
-    pts = sorted(level_pairs(n), key=functools.cmp_to_key(
-        lambda a, b: affine_sign_scaled(a[0] - b[0], a[1] - b[1], lam)))
-    dnum, dden = (delta * 4 ** n).as_integer_ratio()
-    accepted, last = 0, None
-    for P, Q in pts:
-        if last is None or affine_sign_scaled(
-                (P - last[0]) * dden - dnum, (Q - last[1]) * dden, lam) > 0:
-            accepted, last = accepted + 1, (P, Q)
-    cells = [len({floor(P, Q) for P, Q in level_pairs(m)}) for m in range(1, n + 1)]
-    return accepted, cells
-
-
-def full_level_pack(sys, n, delta):
-    """Greedy pack count by the sweep over the fully built sorted level n.
-
-    The sweep as it stood before level n was read as three runs: one
-    bisect past every key that X <= -dden rejects, then, for irrational u,
-    key-by-key integer tests with the exact sign test as the fallback.
-    """
-    L, N, T, shift, levels = full_level_keys(sys, n, keep_q=True)
-    keys = levels[-1]
-    mask = (1 << shift) - 1
-    dnum, dden = (delta * 4 ** n).as_integer_ratio()
-    gap = dnum << 2 * L
-    lam, exact = sys.lam, sys.lam.u_is_rational
-    step = gap // dden + exact
-    if not exact:
-        m = min(T - L, shift + dden.bit_length())
-        reach = 4 * (mask // 3) * dden
-    accepted = i = 0
-    while i < len(keys):
-        accepted, last_V, last_Q = accepted + 1, keys[i] >> shift, keys[i] & mask
-        i = bisect_left(keys, last_V + step << shift, i + 1)
-        while not exact and i < len(keys):
-            key = keys[i]
-            X = ((key >> shift) - last_V) * dden - gap
-            if X < 0 and 3 * -X << 2 * m >= reach:
-                i = bisect_left(keys, (key >> shift) + 1 << shift, i + 1)
-                continue
-            dQ = (key & mask) - last_Q
-            if X * dQ < 0 and 3 * abs(X) << 2 * m < 4 * abs(dQ) * dden:
-                X = affine_sign_scaled((X - dQ * N * dden) >> 2 * L, dQ * dden, lam)
-            if (X or dQ) > 0:
-                break
-            i += 1
-    return accepted
-
-
-def full_level_cells(sys, n_max):
-    """Occupied cells at levels 1..n_max, each read off its own full level."""
-    L, _, _, _, levels = full_level_keys(sys, n_max)
-    return [len({v >> 2 * (L + n_max - n) for v in keys})
-            for n, keys in enumerate(levels) if n]
 
 
 # k/4**j ties a level gap exactly; a free denominator mostly does not.
@@ -146,8 +62,8 @@ gauges = st.one_of(
 
 class TestLevelRuns:
     """pack and boxcount read level n as three runs of level n-1, the
-    copies that put the first digit 0, u or 1 in front; the fully built
-    levels are the oracle."""
+    copies that put the first digit 0, u or 1 in front; oracle.level
+    builds each level in full."""
 
     @given(desc=st.sampled_from(LEVEL_SEQUENCES), n=st.integers(0, 8), delta=gauges)
     @example(desc="paper", n=0, delta=F(1, 4))
@@ -165,14 +81,14 @@ class TestLevelRuns:
     def test_pack_matches_full_level_sweep(self, desc, n, delta):
         sys = IFSSystem(make_lacunary(desc))
         assert (packing_premeasure_estimate(sys, n, delta).accepted
-                == full_level_pack(sys, n, delta))
+                == oracle.pack_accepted(desc, n, delta))
 
     @pytest.mark.parametrize("desc", LEVEL_SEQUENCES)
     def test_boxcount_matches_full_levels(self, desc):
         sys = IFSSystem(make_lacunary(desc))
+        cells = [oracle.box_cells(desc, n) for n in range(1, 9)]
         for n_max in range(1, 9):
-            assert ([r.cells for r in box_counting_profile(sys, n_max).rows]
-                    == full_level_cells(sys, n_max))
+            assert [r.cells for r in box_counting_profile(sys, n_max).rows] == cells[:n_max]
 
 
 class TestMeasureBounds:
@@ -240,12 +156,12 @@ class TestMeasureBounds:
 
     @given(a=dyadics, b=dyadics, qa=quarters, qb=quarters, n=st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
-    def test_matches_brute_force_cylinders(self, a, b, qa, qb, n, sys_toy, lam_toy):
+    def test_matches_brute_force_cylinders(self, a, b, qa, qb, n, sys_toy):
         ends = sorted([SymbolicPoint(a, qa), SymbolicPoint(b, qb)],
-                      key=lambda x: exact_value(x, lam_toy))
+                      key=lambda x: exact_value(x, TOY))
         mb = measure_bounds(sys_toy, *ends, n)
-        lo, hi = (exact_value(x, lam_toy) for x in ends)
-        assert (mb.contained, mb.intersecting) == brute_cylinders(lam_toy, n, lo, hi)
+        lo, hi = (exact_value(x, TOY) for x in ends)
+        assert (mb.contained, mb.intersecting) == oracle.cylinder_counts(TOY, n, lo, hi)
 
     @given(desc=st.sampled_from(["paper", "geometric:b=3,start=12"]),
            n=st.integers(0, 10), a=st.text(alphabet="01u", max_size=16),
@@ -254,11 +170,10 @@ class TestMeasureBounds:
     @example(desc="geometric:b=3,start=12", n=10, a="u" * 16, b="1", shift=0)  # gate fails
     @settings(max_examples=80, deadline=None)
     def test_rank_path_matches_walker(self, desc, n, a, b, shift):
-        lam = make_lacunary(desc)
-        sys = IFSSystem(lam)
-        x, y = project(a[:n + 6]), project(b[:n + 6])
+        sys = IFSSystem(make_lacunary(desc))
+        x, y = word_point(a[:n + 6]), word_point(b[:n + 6])
         y = SymbolicPoint(y.p + F(shift, 4 ** (n + 1)), y.q)
-        J = sorted([x, y], key=point_order(lam))
+        J = sorted([x, y], key=value_order(desc))
         with walker_only():
             walked = measure_bounds(sys, *J, n)
         assert measure_bounds(sys, *J, n) == walked
@@ -274,12 +189,11 @@ class TestMeasureBounds:
     @settings(max_examples=60, deadline=None)
     def test_walk_past_gate_matches_brute_force(self, desc, n, a, b, sa, sb):
         # The gate shuts from n = 2 (start=1) or n = 4 (start=3) on.
-        lam = make_lacunary(desc)
         ends = [SymbolicPoint(x.p + F(s, 4 ** (n + 1)), x.q)
-                for x, s in ((project(a[:n + 2]), sa), (project(b[:n + 2]), sb))]
-        lo, hi = sorted(ends, key=point_order(lam))
-        mb = measure_bounds(IFSSystem(lam), lo, hi, n)
-        want = span_count_oracle(lam, n, (lo.p, lo.q), (hi.p, hi.q), 1)
+                for x, s in ((word_point(a[:n + 2]), sa), (word_point(b[:n + 2]), sb))]
+        lo, hi = sorted(ends, key=value_order(desc))
+        mb = measure_bounds(IFSSystem(make_lacunary(desc)), lo, hi, n)
+        want = span_counts(desc, n, (lo.p, lo.q), (hi.p, hi.q), 1)
         assert (mb.contained, mb.intersecting) == want
 
     # Ends pa/(4*da) + q*u: any denominators, and ends below 0, since
@@ -294,11 +208,10 @@ class TestMeasureBounds:
     @example(desc="explicit:2,6,14", n=3, pa=-7, pb=2, da=7, db=7, qa=F(1), qb=F(0))
     @settings(max_examples=120, deadline=None)
     def test_any_rational_ends_match_brute_force(self, desc, n, pa, pb, da, db, qa, qb):
-        lam = make_lacunary(desc)
-        ends = sorted([SymbolicPoint(F(pa, 4 * da), qa), SymbolicPoint(F(pb, 4 * db), qb)],
-                      key=point_order(lam))
-        mb = measure_bounds(IFSSystem(lam), *ends, n)
-        want = span_count_oracle(lam, n, (ends[0].p, ends[0].q), (ends[1].p, ends[1].q), 1)
+        lo, hi = sorted([SymbolicPoint(F(pa, 4 * da), qa), SymbolicPoint(F(pb, 4 * db), qb)],
+                        key=value_order(desc))
+        mb = measure_bounds(IFSSystem(make_lacunary(desc)), lo, hi, n)
+        want = span_counts(desc, n, (lo.p, lo.q), (hi.p, hi.q), 1)
         assert (mb.contained, mb.intersecting) == want
 
     @given(a=dyadics, b=dyadics, n=st.integers(0, 5))
@@ -416,17 +329,9 @@ class TestPacking:
     @settings(max_examples=60, deadline=None)
     def test_matches_exact_greedy_oracle(self, desc, n, num):
         # explicit:1 and explicit:1,3,7 make distinct words share a point.
-        lam = make_lacunary(desc)
         delta = F(num, 64)
-        est = packing_premeasure_estimate(IFSSystem(lam), n, delta)
-        u = lam.u_exact()
-        vals = sorted({x.p + x.q * u for x in
-                       (project("".join(t)) for t in itertools.product("01u", repeat=n))})
-        accepted, last = 0, None
-        for v in vals:
-            if last is None or v - last > delta:
-                accepted, last = accepted + 1, v
-        assert est.accepted == accepted
+        est = packing_premeasure_estimate(IFSSystem(make_lacunary(desc)), n, delta)
+        assert est.accepted == oracle.pack_accepted(desc, n, delta)
 
     @pytest.mark.parametrize("n,delta,expected", [(3, F(1, 64), 9),
                                                   (4, F(1, 100), 14),
@@ -452,14 +357,14 @@ class TestPacking:
     @example(desc="paper", n=7, num=1, k=8)                   # every key in a tie window
     @example(desc="geometric:b=3,start=1", n=6, num=17, k=10)  # J = 2, 12 fallback sign tests
     @settings(max_examples=30, deadline=None)
-    def test_keys_match_sign_test_oracle(self, desc, n, num, k):
-        lam = make_lacunary(desc)
-        sys = IFSSystem(lam)
+    def test_keys_match_oracle(self, desc, n, num, k):
+        sys = IFSSystem(make_lacunary(desc))
         delta = F(num, 4 ** k)
-        accepted, cells = sign_test_oracle(lam, n, delta)
-        assert packing_premeasure_estimate(sys, n, delta).accepted == accepted
+        assert (packing_premeasure_estimate(sys, n, delta).accepted
+                == oracle.pack_accepted(desc, n, delta))
         if n:  # box counts start at level 1
-            assert [r.cells for r in box_counting_profile(sys, n).rows] == cells
+            assert ([r.cells for r in box_counting_profile(sys, n).rows]
+                    == [oracle.box_cells(desc, m) for m in range(1, n + 1)])
 
     @pytest.mark.parametrize("n,k,accepted", [(7, 8, 128), (10, 12, 1024)])
     def test_tail_bound_settles_paper_ties(self, sys_paper, n, k, accepted):
@@ -515,15 +420,9 @@ class TestBoxCounting:
             assert r.dim_estimate == pytest.approx(0.5, rel=1e-12)
 
     def test_rational_u_matches_floor_oracle(self):
-        sys_r = IFSSystem(make_lacunary("explicit:1"))
-        prof = box_counting_profile(sys_r, 6)
-        u = F(1, 4)
-        oracle = []
-        for n in range(1, 7):
-            cells = {int((x.p + x.q * u) * 4 ** n) for x in
-                     (project("".join(t)) for t in itertools.product("01u", repeat=n))}
-            oracle.append(len(cells))
-        assert [r.cells for r in prof.rows] == oracle == [2, 5, 13, 34, 89, 233]
+        prof = box_counting_profile(IFSSystem(make_lacunary("explicit:1")), 6)
+        want = [oracle.box_cells("explicit:1", n) for n in range(1, 7)]
+        assert [r.cells for r in prof.rows] == want == [2, 5, 13, 34, 89, 233]
 
     def test_geometric_profile_frozen(self):
         sys_g = IFSSystem(make_lacunary("geometric:b=3,start=3"))

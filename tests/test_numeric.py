@@ -17,6 +17,8 @@ from fracpack.numeric import (
     parse_rational,
     rational_str,
 )
+import oracle
+from conftest import u_value
 
 F = Fraction
 
@@ -34,6 +36,53 @@ def lacunary_terms(max_len=5, max_start=6):
             terms.append(2 * terms[-1] + 1 + draw(st.integers(0, 8)))
         return tuple(terms)
     return st.composite(lambda draw: build(draw))()
+
+
+def explicit(terms) -> str:
+    return "explicit:" + ",".join(map(str, terms))
+
+
+# u's exponents lam_1, lam_2, ...: paper's 3**3**j, and start*3**(j-1) for
+# the geometric kinds, as far as the near-ties below reach.
+IRRATIONAL_TERMS = {"paper": [27, 19683],
+                    **{f"geometric:b=3,start={s}": [s * 3 ** j for j in range(7)]
+                       for s in range(1, 6)}}
+
+
+def irrational_u(desc, B) -> oracle.U:
+    """An oracle.U whose enclosure decides the sign of A + B*u for every A.
+
+    With |B| < 4**b and lam_M the first term at or above b, a rational
+    -A/B other than u's truncation after M terms lies more than
+    (2/3) * 4**-(b + lam_M) from u, as lam_{M+1} >= 2*lam_M + 1 puts the
+    tail below a third of that; an enclosure 4**-E/3 wide with
+    E >= b + lam_M then decides it.  At the truncation itself, the
+    enclosure's lower end is the truncation or lies above it.
+    """
+    b = abs(B).bit_length() // 2 + 1
+    return oracle.U(desc, max(120, b + next(t for t in IRRATIONAL_TERMS[desc] if t >= b)))
+
+
+@st.composite
+def sign_queries(draw):
+    """(desc, A, B): a free pair, or a near-tie at a truncation depth J.
+
+    A near-tie puts A + B*u at d + k*4**L_J*(u - N_J/4**L_J) for u's
+    truncation N_J/4**L_J after J terms and d in {-1, 0, 1}: the coarse
+    bracket and the first enclosures cannot decide it, so the refinement
+    loop runs.
+    """
+    desc = draw(st.sampled_from(sorted(IRRATIONAL_TERMS)))
+    if not draw(st.booleans()):
+        free = st.integers(-(2 ** 64), 2 ** 64)
+        return desc, draw(free), draw(free)
+    terms = IRRATIONAL_TERMS[desc]
+    J = draw(st.integers(0, len(terms) - 1))
+    L = terms[J - 1] if J else 0
+    N = sum(4 ** (L - t) for t in terms[:J])
+    k = draw(st.integers(1, 2 ** 32)) * draw(st.sampled_from([1, -1]))
+    d = draw(st.sampled_from([-1, 0, 1]))
+    return desc, -k * N + d, k * 4 ** L
 
 
 class TestParsing:
@@ -171,7 +220,7 @@ def capped_sequences(draw):
 class TestEnclosures:
     def test_enclosure_contains_exact_u(self):
         lam = make_lacunary("explicit:2,6,14")
-        u = lam.u_exact()
+        u = u_value("explicit:2,6,14")
         for J in range(0, 4):
             lo, hi, _, _ = _u_enclosure_info(lam, J)
             assert lo <= u <= hi
@@ -179,7 +228,7 @@ class TestEnclosures:
     def test_enclosure_tail_is_strict(self):
         # The tail sum_{j>J} 4**-lam_j stays strictly below (4/3)*4**-lam_{J+1}.
         lam = make_lacunary("explicit:2,6,14")
-        u = lam.u_exact()
+        u = u_value("explicit:2,6,14")
         for J in range(0, 3):
             lo, hi, _, _ = _u_enclosure_info(lam, J)
             assert lo < u if J < 3 else lo == u
@@ -214,11 +263,13 @@ class TestEnclosures:
                             "geometric:b=3,start=5", "paper"]),
            st.integers(0, 4 ** 40))
     def test_view_of_truncation(self, desc, q):
-        # The enclosure at the truncation's depth starts at its N / 4**L.
+        # The enclosure at the truncation's depth starts at its N / 4**L,
+        # the sum of u's terms up to L (all of them for a finite list).
         lam = make_lacunary(desc)
         L, N, _ = lam.truncation(q)
         J = len(lam.terms_below(L + 1))
-        assert _u_enclosure_info(lam, J)[0] == F(N, 4 ** L)
+        u = oracle.U(desc, L)
+        assert _u_enclosure_info(lam, J)[0] == F(N, 4 ** L) == F(u.lo, u.den)
 
 
 class TestTruncation:
@@ -233,7 +284,7 @@ class TestTruncation:
     def test_rational_has_no_tail(self, terms, q):
         lam = LacunarySequence.explicit(terms)
         L, N, T = lam.truncation(q)
-        assert T is None and F(N, 4 ** L) == lam.u_exact()
+        assert T is None and F(N, 4 ** L) == u_value(explicit(terms))
 
 
 class TestSymbolicPoint:
@@ -247,10 +298,16 @@ class TestAffineSign:
     @given(lacunary_terms(max_len=4), st.integers(-300, 300), st.integers(-300, 300))
     def test_matches_exact_rational(self, terms, A, B):
         lam = LacunarySequence.explicit(terms)
-        u = lam.u_exact()
-        val = A + B * u
-        want = (val > 0) - (val < 0)
-        assert affine_sign_scaled(A, B, lam) == want
+        assert affine_sign_scaled(A, B, lam) == oracle.U(explicit(terms)).sign(A, B)
+
+    @given(sign_queries())
+    # -A/B is u's truncation after two terms, 4**-3 + 4**-9, or three.
+    @example(("geometric:b=3,start=3", -(4 ** 6 + 1), 4 ** 9))
+    @example(("geometric:b=3,start=3", -(4 ** 24 + 4 ** 18 + 1), 4 ** 27))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_on_irrational_u(self, query):
+        desc, A, B = query
+        assert affine_sign_scaled(A, B, make_lacunary(desc)) == irrational_u(desc, B).sign(A, B)
 
     def test_irrational_boundary_shortcut(self, lam_paper):
         # A + B*u with A = -B*4**-27 scaled: the value is exactly the
@@ -282,7 +339,7 @@ class TestCompareEval:
     @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40), st.integers(0, 40))
     def test_compare_matches_exact(self, p1, q1, p2, q2):
         lam = make_lacunary("explicit:2,6")
-        u = lam.u_exact()
+        u = u_value("explicit:2,6")
         va, vb = F(p1, 16) + F(q1, 16) * u, F(p2, 16) + F(q2, 16) * u
         assert affine_sign_scaled(p1 - p2, q1 - q2, lam) == (va > vb) - (va < vb)
 

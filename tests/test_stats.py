@@ -31,7 +31,8 @@ from fracpack.stats import (
     CheckpointStats,
     empirical_quantile,
 )
-from conftest import MASTER_SEED, influence_scan_oracle
+import oracle
+from conftest import MASTER_SEED
 
 probs = st.builds(F, st.integers(0, 8), st.integers(8, 9))
 
@@ -245,7 +246,7 @@ class TestGrowthSimulation:
         rep = monte_carlo_growth(seq, (1, 9, 28, 70), 40, MASTER_SEED)
         words = [sample_sequence(f"{MASTER_SEED}:{t}", 70) for t in range(40)]
         for s in rep.stats:
-            xs = sorted(len(influence_scan_oracle(w, s.j, seq)) for w in words)
+            xs = sorted(len(oracle.influence_positions(lam, w, s.j)) for w in words)
             assert (s.min, s.p25, s.p50, s.p90, s.max, s.mean) == (
                 xs[0], empirical_quantile(xs, 0.25), empirical_quantile(xs, 0.5),
                 empirical_quantile(xs, 0.9), xs[-1], sum(xs) / len(xs))
