@@ -405,22 +405,70 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, subs.choices
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), with one parser reading argv.
+@functools.cache
+def _option_table(command: str) -> tuple[dict, dict, tuple]:
+    """One subcommand's store and flag actions by option string, the
+    Namespace defaults argparse starts from, and the required actions."""
+    sub = _parsers()[1][command]
+    options, defaults = {}, dict(sub._defaults)
+    for action in sub._actions:
+        if ((type(action) is argparse._StoreAction and action.nargs is None)
+                or isinstance(action, argparse._StoreConstAction)):
+            options.update(dict.fromkeys(action.option_strings, action))
+        default = action.default
+        if isinstance(default, str) and action.type is not None:
+            default = action.type(default)
+        if default is not argparse.SUPPRESS:
+            defaults[action.dest] = default
+    return options, defaults, tuple(a for a in sub._actions if a.required)
 
-    When argv[0] names a subcommand, its parser alone reads argv[1:], as
-    the top-level parser would hand them over.  No arguments, a help
-    flag, an unknown command and arguments left over all go to the
-    top-level parser, so its messages stay the same: leftovers read
-    "fracpack: error: unrecognized arguments: ...".
+
+def _read_plain(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace argparse gives a plain argv (see parse_args), or None
+    for any other argv."""
+    if not argv or argv[0] not in _parsers()[1]:
+        return None
+    options, defaults, required = _option_table(argv[0])
+    values = dict(defaults)
+    seen = set()
+    tokens = iter(argv[1:])
+    for option in tokens:
+        action = options.get(option)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            value = action.const
+        else:
+            text = next(tokens, None)
+            if text is None or (text[:1] == "-" and not _NEGATIVE_NUMBER.match(text)):
+                return None
+            try:
+                value = text if action.type is None else action.type(text)
+            except (TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+        seen.add(action)
+    return argparse.Namespace(**values) if seen.issuperset(required) else None
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), reading a plain argv without argparse.
+
+    A plain argv is a subcommand, then only its exact option strings: each
+    flag alone, each other option with one value that does not start with
+    "-" or is a negative number (_NEGATIVE_NUMBER), that value passing the
+    option's type and choices, and every required option present, as in
+    "measure --lambda paper --lo -1/4 --hi 1/4 --n 2".  It is read straight
+    into the Namespace argparse would give.  Every other argv goes whole to
+    the top-level parser, the only source of usage, help and error text:
+    no arguments, an unknown command, an abbreviation such as --lam, an
+    --opt=value form, -h, --, a missing or option-like value, a value that
+    fails its type or choices, and a missing required option.
     """
-    parser, commands = _parsers()
-    sub = commands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    args = _read_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -24,8 +24,9 @@ from fracpack import (
     project,
     sample_sequence,
 )
-from fracpack.cli import _render_json, build_parser, main, parse_args
+from fracpack.cli import _read_plain, _render_json, build_parser, main, parse_args
 from conftest import LEVEL_SEQUENCES, span_counts
+import workloads
 
 
 def run(capsys, *argv):
@@ -782,9 +783,58 @@ class TestNegativeValues:
         assert code == 2 and err == "error: depth must be >= 0\n"
 
 
+SUBCOMMANDS = build_parser()._subparsers._group_actions[0].choices
+option_texts = st.sampled_from(["0", "2", "-1", "1_000", "1/4", "-1/4", "-.5", "-1e-3", "-1e",
+                                "", "-", "-1 2", "x", "paper", "explicit:2,6", "u01",
+                                "json", "csv", "xml", "--", "-h", "--n"])
+
+
+@st.composite
+def option_argvs(draw):
+    """A subcommand with most of its required options and some optional
+    ones, in any order, each followed by a value where it takes one; then
+    up to three edits: a token spliced in, one or two dropped, one
+    abbreviated, or two joined with "="."""
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    # -h comes first and is left to the splices.  An optional option is
+    # kept half the time, a required one fifteen times in sixteen.
+    actions = [a for a in SUBCOMMANDS[name]._actions[1:]
+               if draw(st.integers(0, 15 if a.required else 1))]
+    argv = [name]
+    for action in draw(st.permutations(actions)):
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs != 0:
+            fits = (st.sampled_from(action.choices) if action.choices else
+                    st.integers(-3, 9).map(str) if action.type is int else option_texts)
+            argv.append(draw(mostly(fits, option_texts)))
+    for _ in range(draw(choice(st.just(0), st.integers(1, 3)))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["splice", "drop", "abbreviate", "join"]))
+        if edit == "splice":
+            argv.insert(i, draw(st.sampled_from(sorted(
+                SUBCOMMANDS[name]._option_string_actions)) | option_texts))
+        elif i < len(argv) and edit == "drop":
+            del argv[i:i + draw(st.integers(1, 2))]
+        elif i < len(argv) and edit == "abbreviate":
+            argv[i] = argv[i][:draw(st.integers(1, max(1, len(argv[i]) - 1)))]
+        elif i + 1 < len(argv):
+            argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
+    return argv
+
+
+def parse_outcome(parse, argv):
+    """parse(argv), or its exit code with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
 class TestParseOnce:
-    """main parses with the subcommand's parser alone, and answers as the
-    top-level parser does."""
+    """parse_args reads a plain argv itself, and answers as the top-level
+    parser does."""
 
     @pytest.mark.parametrize("argv", [
         [], ["--help"], ["count", "-h"],
@@ -796,6 +846,14 @@ class TestParseOnce:
         ["count", "--lambda", "paper", "--n=3"],
         ["count", "--lam", "paper", "--n", "2"],
         ["measure", "--lambda", "paper", "--lo", "-1/4", "--n", "2"],
+        ["count", "--lambda", "paper", "--n", "2", "--center", "0", "--witnesses", "x"],
+        ["count", "--lambda", "paper", "--n", "2", "--center", "0", "--witnesses=x"],
+        ["count", "--lambda", "paper", "--n", "2", "--center", "0", "--"],
+        ["count", "--lambda", "paper", "--n", "2", "--", "--center", "0"],
+        ["count", "--lambda", "paper", "--n", "", "--center", "0"],
+        ["count", "--lambda", "paper", "--n", "2", "--center"],
+        ["count", "--lambda", "paper", "--n", "2", "--center", "--C"],
+        ["count", "--lambda", "paper", "--n", "2", "--center", "0", "--format", "xml"],
     ], ids=repr)
     def test_exit_matches_top_level_parser(self, argv, capsys):
         code, out, err = run(capsys, *argv)
@@ -808,9 +866,49 @@ class TestParseOnce:
         ["count", "--lam", "paper", "--n", "2", "--center", "01", "--C", "1/2"],
         ["measure", "--lambda", "paper", "--lo", "-1/4", "--hi", "1/4", "--n", "2"],
         ["dimension", "--ratios", "1/4,1/4,1/4"],
+        # The last of a repeated option wins.
+        ["count", "--lambda", "paper", "--n", "2", "--n", "3", "--center", "0",
+         "--center", "1"],
+        ["count", "--lambda", "paper", "--n", "2", "--center", "0", "--witnesses"],
+        ["count", "--lambda", "paper", "--n", "2", "--center", "0", "--witnesses",
+         "--witnesses"],
+        ["count", "--lambda", "", "--n", "2", "--center", "0"],
+        ["influence", "--lambda", "paper", "--word", "-"],
+        ["measure", "--lambda", "paper", "--lo", "-1 2", "--hi", "1", "--n", "2"],
+        ["count", "--lambda", "paper", "--n", "1_000", "--center", "0"],
+        # Each subcommand with its optional flags left out.
+        ["dimension", "--ratios", "1/4"],
+        ["count", "--n", "2", "--center", "0"],
+        ["influence", "--word", "u"],
+        ["simulate", "--checkpoints", "2"],
+        ["density", "--n-max", "3"],
+        ["blowup", "--j", "3"],
+        ["measure", "--lo", "0", "--hi", "1", "--n", "2"],
+        ["pack", "--n", "2", "--delta", "1/4"],
+        ["boxcount", "--n-max", "3"],
+        ["verify"],
     ], ids=repr)
     def test_namespace_matches_top_level_parser(self, argv):
         assert parse_args(argv) == build_parser().parse_args(argv)
+
+    @given(argv=option_argvs())
+    @example(argv=["measure", "--lo", "-1/4", "--hi=1/4", "--n", "2"])
+    @example(argv=["influence", "--lambda", "paper", "--word"])
+    @settings(max_examples=500, deadline=None)
+    def test_edited_argv_answers_as_top_level_parser(self, argv):
+        expected = parse_outcome(build_parser().parse_args, argv)
+        assert parse_outcome(parse_args, argv) == expected
+
+    @pytest.mark.parametrize("workload", workloads.WORKLOADS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_argvs_take_the_plain_reader(self, workload, seed):
+        # An option change that sent these back through argparse would slow
+        # every benchmark op without failing any other test.
+        for op in workloads.build(workload, seed):
+            if op["kind"] == "cli":
+                args = _read_plain(op["argv"])
+                assert args is not None, op["argv"]
+                assert args == build_parser().parse_args(op["argv"])
 
 
 ALL_COMMANDS = [
